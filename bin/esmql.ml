@@ -26,32 +26,16 @@ module Rel = Esm_relational
 module Ql = Esm_ql
 
 let with_env_chaos (f : unit -> 'a) : 'a =
-  match Sys.getenv_opt "CHAOS_SEED" with
-  | None -> f ()
-  | Some s ->
-      let seed =
-        match int_of_string_opt s with
-        | Some n -> n
-        | None ->
-            prerr_endline "esmql: CHAOS_SEED must be an integer";
-            exit 2
-      in
-      let rate =
-        match Sys.getenv_opt "CHAOS_RATE" with
-        | Some r -> (
-            match float_of_string_opt r with
-            | Some f -> f
-            | None ->
-                prerr_endline "esmql: CHAOS_RATE must be a float";
-                exit 2)
-        | None -> 0.05
-      in
+  match Chaos.of_env Sys.getenv_opt with
+  | Error msg ->
+      prerr_endline ("esmql: " ^ msg);
+      exit 2
+  | Ok None -> f ()
+  | Ok (Some c) ->
       (* injection is scoped to the net.* sites: faults hit the wire
          (remote backend), never the bx core, so the same script under
          the same seed must yield the same answers on every backend *)
-      Chaos.with_chaos
-        (Chaos.make ~rate ~seed ())
-        (fun () -> Chaos.at_sites [ "net." ] f)
+      Chaos.with_chaos c (fun () -> Chaos.at_sites [ "net." ] f)
 
 let bases ~seed ~size : Ql.Check.base list =
   [

@@ -36,6 +36,21 @@ let make ?(rate = 0.01) ~seed () : t =
     fallbacks = 0;
   }
 
+(* The one reading of CHAOS_SEED / CHAOS_RATE shared by every binary. *)
+let of_env (getenv : string -> string option) : (t option, string) result =
+  let bad var what s = Error (Printf.sprintf "%s must be %s, got %S" var what s) in
+  match getenv "CHAOS_SEED" with
+  | None -> Ok None
+  | Some s -> (
+      match (int_of_string_opt (String.trim s), getenv "CHAOS_RATE") with
+      | None, _ -> bad "CHAOS_SEED" "an integer" s
+      | Some seed, None -> Ok (Some (make ~rate:0.05 ~seed ()))
+      | Some seed, Some r -> (
+          match float_of_string_opt (String.trim r) with
+          | Some rate when rate >= 0.0 && rate <= 1.0 ->
+              Ok (Some (make ~rate ~seed ()))
+          | _ -> bad "CHAOS_RATE" "a float within [0, 1]" r))
+
 let current : t option ref = ref None
 let suppressed : int ref = ref 0
 
@@ -105,6 +120,8 @@ let note_fallback (_site : string) : unit =
   | Some t -> t.fallbacks <- t.fallbacks + 1
   | None -> ()
 
+let seed (t : t) : int = t.seed
+let rate (t : t) : float = float_of_int t.rate_ppm /. 1_000_000.0
 let injected (t : t) : int = t.injected
 let fallbacks (t : t) : int = t.fallbacks
 let fallbacks_total () : int = !global_fallbacks

@@ -14,6 +14,17 @@ val make : ?rate:float -> seed:int -> unit -> t
     (default [0.01]), decided deterministically from [seed].
     @raise Invalid_argument if [rate] is outside [[0, 1]]. *)
 
+val of_env : (string -> string option) -> (t option, string) result
+(** The instance the environment asks for, read through the given lookup
+    (binaries pass [Sys.getenv_opt]): [Ok None] when [CHAOS_SEED] is
+    unset; otherwise an instance at that seed and the [CHAOS_RATE]
+    (default [0.05]).  A non-integer seed, a non-float rate or a rate
+    outside [[0, 1]] is [Error] with a one-line message naming the
+    variable — every binary reports it and exits 2. *)
+
+val seed : t -> int
+val rate : t -> float
+
 val with_chaos : t -> (unit -> 'a) -> 'a
 (** Run the thunk with the instance installed; restores the previous
     instance (if any) afterwards, exceptions included. *)

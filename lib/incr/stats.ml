@@ -1,10 +1,6 @@
-(* Named hit/miss/backdate counters; see stats.mli. *)
+(* Named hit/miss counters; see stats.mli. *)
 
-type counter = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable backdates : int;
-}
+type counter = { mutable hits : int; mutable misses : int }
 
 let table : (string, counter) Hashtbl.t = Hashtbl.create 16
 
@@ -12,7 +8,7 @@ let counter (name : string) : counter =
   match Hashtbl.find_opt table name with
   | Some c -> c
   | None ->
-      let c = { hits = 0; misses = 0; backdates = 0 } in
+      let c = { hits = 0; misses = 0 } in
       Hashtbl.replace table name c;
       c
 
@@ -24,22 +20,9 @@ let miss name =
   let c = counter name in
   c.misses <- c.misses + 1
 
-let backdate name =
-  let c = counter name in
-  c.backdates <- c.backdates + 1
-
 let counts name =
   match Hashtbl.find_opt table name with
   | None -> (0, 0)
   | Some c -> (c.hits, c.misses)
-
-let backdates name =
-  match Hashtbl.find_opt table name with None -> 0 | Some c -> c.backdates
-
-let all () =
-  Hashtbl.fold
-    (fun name c acc -> (name, (c.hits, c.misses, c.backdates)) :: acc)
-    table []
-  |> List.sort compare
 
 let reset () = Hashtbl.reset table

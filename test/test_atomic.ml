@@ -136,6 +136,39 @@ let chaos_tests =
             | () -> Alcotest.fail "expected an injected fault"
             | exception Error.Bx_error e ->
                 check Alcotest.string "op" "table.key_index" e.Error.op));
+    test "CHAOS_SEED/CHAOS_RATE parse once, reject bad values" `Quick
+      (fun () ->
+        let env seed rate name =
+          match name with
+          | "CHAOS_SEED" -> seed
+          | "CHAOS_RATE" -> rate
+          | _ -> None
+        in
+        let parsed seed rate =
+          Result.map
+            (Option.map (fun c -> (Chaos.seed c, Chaos.rate c)))
+            (Chaos.of_env (env seed rate))
+        in
+        let ok = Alcotest.(result (option (pair int (float 1e-9))) string) in
+        check ok "unset" (Ok None) (parsed None (Some "abc"));
+        check ok "default rate" (Ok (Some (7, 0.05))) (parsed (Some "7") None);
+        check ok "explicit rate" (Ok (Some (42, 0.12)))
+          (parsed (Some "42") (Some "0.12"));
+        List.iter
+          (fun (seed, rate) ->
+            match parsed seed rate with
+            | Error msg ->
+                check Alcotest.bool ("one line: " ^ msg) false
+                  (String.contains msg '\n')
+            | Ok _ -> Alcotest.failf "accepted %s"
+                        (Option.value rate ~default:"-"))
+          [
+            (Some "x", None);
+            (Some "1", Some "abc");
+            (Some "1", Some "5");
+            (Some "1", Some "-0.1");
+            (Some "1", Some "nan");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

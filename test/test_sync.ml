@@ -52,16 +52,6 @@ let view_row i name =
   Rel.Row.of_list
     [ Rel.Value.Int i; Rel.Value.Str name; Rel.Value.Str "Engineering" ]
 
-let base_row i name dept =
-  Rel.Row.of_list
-    [
-      Rel.Value.Int i;
-      Rel.Value.Str name;
-      Rel.Value.Str dept;
-      Rel.Value.Int 50_000;
-      Rel.Value.Str (name ^ "@example.com");
-    ]
-
 let kind_of = function
   | Ok _ -> None
   | Error (e : Error.t) -> Some e.Error.kind
@@ -403,90 +393,38 @@ let wire_unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Chaos properties                                                    *)
+(* Chaos properties, driven through the one scenario driver            *)
 (* ------------------------------------------------------------------ *)
 
-let fresh = ref 100_000
+let scenario ?(topology = Scenario.Single) ?(link = Scenario.In_process)
+    ?(durability = Scenario.Memory) ?(compact = false) ~seed ~ops ~sessions ()
+    =
+  { Scenario.topology; link; durability; compact; seed; ops; sessions }
 
-let random_deltas r (sess : Wire.rsession) =
-  let view =
-    Chaos.protected (fun () ->
-        match Session.view sess with `A t | `B t -> t)
-  in
-  let rows = Rel.Table.rows view in
-  let n = 1 + Rel.Workload.int r 3 in
-  List.init n (fun _ ->
-      if rows = [] || Rel.Workload.int r 3 = 0 then (
-        incr fresh;
-        match Session.side sess with
-        | `A ->
-            Rel.Row_delta.Add
-              (base_row !fresh
-                 ("w" ^ string_of_int !fresh)
-                 (Rel.Workload.pick r [ "Engineering"; "Sales"; "Ops" ]))
-        | `B ->
-            Rel.Row_delta.Add (view_row !fresh ("w" ^ string_of_int !fresh)))
-      else Rel.Row_delta.Remove (Rel.Workload.pick r rows))
+let no_violations (r : Scenario.report) =
+  match r.Scenario.violations with
+  | [] -> true
+  | vs -> QCheck.Test.fail_report (String.concat "; " vs)
 
-let run_workload r store ~ops =
-  let sa = Session.bind store ~name:"a1" ~side:`A in
-  let sb = Session.bind store ~name:"b1" ~side:`B in
-  for _ = 1 to ops do
-    let sess = if Rel.Workload.int r 2 = 0 then sa else sb in
-    let ds = random_deltas r sess in
-    let op =
-      match Session.side sess with
-      | `A -> Store.Batch_a ds
-      | `B -> Store.Batch_b ds
-    in
-    (* failures (injected faults, FD violations) roll back — allowed *)
-    ignore (Session.submit_rebase sess op)
-  done
-
+(* Ten ops crash and recover the store twice (every 5 ops) and diff the
+   recovered views against the pre-crash ones. *)
 let recovery_prop seed =
   let c = case_chaos ~rate:0.2 () in
-  Chaos.with_chaos c (fun () ->
-      let store = make_store ~snapshot_every:3 () in
-      let r = Rel.Workload.rng ~seed in
-      run_workload r store ~ops:10;
-      let va, vb, v =
-        Chaos.protected (fun () ->
-            (Store.view_a store, Store.view_b store, Store.version store))
-      in
-      Store.crash store;
-      Store.recover store;
-      Chaos.protected (fun () ->
-          Store.version store = v
-          && Rel.Table.equal (Store.view_a store) va
-          && Rel.Table.equal (Store.view_b store) vb))
+  no_violations
+    (Chaos.with_chaos c (fun () ->
+         Scenario.run (scenario ~seed ~ops:10 ~sessions:2 ())))
+
+(* Four ops, no crash: every round reads the view and commits 1-4
+   deltas, about two thirds of them removals of viewed rows (possibly
+   the same row twice).  A rejected batch must leave no trace, and the
+   end-of-run replay commits every batch one delta at a time and must
+   land on the same views. *)
+let batch_oracle_spec seed = scenario ~seed ~ops:4 ~sessions:2 ()
 
 let batch_oracle_prop seed =
   let c = case_chaos ~rate:0.2 () in
-  let store = make_store () in
-  let oracle = make_store () in
-  let r = Rel.Workload.rng ~seed in
-  let sb = Session.bind store ~name:"b1" ~side:`B in
-  let ds = random_deltas r sb in
-  let res =
-    Chaos.with_chaos c (fun () ->
-        Store.commit ~session:"b1" store (Store.Batch_b ds))
-  in
-  match res with
-  | Error _ ->
-      (* transactional: the failed batch left no trace *)
-      Store.version store = 0
-      && Rel.Table.equal (Store.view_b store) (Store.view_b oracle)
-  | Ok _ ->
-      List.iter
-        (fun d ->
-          match Store.commit ~session:"b1" oracle (Store.Batch_b [ d ]) with
-          | Ok _ -> ()
-          | Error e ->
-              Alcotest.failf "one-at-a-time oracle failed: %s"
-                (Error.message e))
-        ds;
-      Rel.Table.equal (Store.view_a store) (Store.view_a oracle)
-      && Rel.Table.equal (Store.view_b store) (Store.view_b oracle)
+  no_violations
+    (Chaos.with_chaos c (fun () -> Scenario.run (batch_oracle_spec seed)))
 
 let chaos_property_tests =
   [
@@ -498,8 +436,11 @@ let chaos_property_tests =
       QCheck.small_nat batch_oracle_prop;
   ]
 
+let check_clean (r : Scenario.report) =
+  check Alcotest.(list string) "no violations" [] r.Scenario.violations
+
 (* Convergence under two fixed fault seeds: after a chaotic multi-session
-   workload with a crash in the middle, every session pulls to the store
+   workload with crashes along the way, every session pulls to the store
    head. *)
 let convergence_case fault_seed =
   test
@@ -507,39 +448,115 @@ let convergence_case fault_seed =
     `Quick
     (fun () ->
       let c = Chaos.make ~rate:0.1 ~seed:fault_seed () in
-      Chaos.with_chaos c (fun () ->
-          let store = make_store ~snapshot_every:4 () in
-          let sessions =
-            List.init 4 (fun i ->
-                Session.bind store
-                  ~name:(Printf.sprintf "s%d" (i + 1))
-                  ~side:(if i mod 2 = 0 then `A else `B))
-          in
-          let r = Rel.Workload.rng ~seed:fault_seed in
-          for i = 1 to 30 do
-            let sess = Rel.Workload.pick r sessions in
-            let ds = random_deltas r sess in
-            let op =
-              match Session.side sess with
-              | `A -> Store.Batch_a ds
-              | `B -> Store.Batch_b ds
-            in
-            ignore (Session.submit_rebase sess op);
-            if i = 15 then (
-              Store.crash store;
-              Store.recover store)
-          done;
-          List.iter
-            (fun sess ->
-              ignore (Session.pull sess);
-              check Alcotest.int
-                (Session.name sess ^ " at head")
-                (Store.version store) (Session.base sess))
-            sessions))
+      check_clean
+        (Chaos.with_chaos c (fun () ->
+             Scenario.run (scenario ~seed:fault_seed ~ops:30 ~sessions:4 ()))))
 
 let convergence_tests = [ convergence_case 1; convergence_case 20140328 ]
 
+(* ------------------------------------------------------------------ *)
+(* The scenario matrix and its checkers                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A run directory inside a scratch root, so the check's sibling
+   [DIR.oracle] is cleaned up with it. *)
+let with_run_dir f =
+  Test_durable_log.with_tmp_dir (fun root -> f (Filename.concat root "run"))
+
+(* Every topology x link x durability at toy size under chaos: zero
+   violations.  Persisted runs compact, so the on-disk audit runs too. *)
+let matrix_case (tname, topology) (lname, link) persisted =
+  test
+    (Printf.sprintf "scenario %s / %s / %s is clean" tname lname
+       (if persisted then "dir+compact" else "memory"))
+    `Quick
+    (fun () ->
+      let go durability =
+        let c = case_chaos ~rate:0.05 () in
+        check_clean
+          (Chaos.with_chaos c (fun () ->
+               Scenario.run
+                 (scenario ~topology ~link ~durability ~compact:persisted
+                    ~seed:chaos_seed ~ops:40 ~sessions:4 ())))
+      in
+      if persisted then with_run_dir (fun d -> go (Scenario.Dir d))
+      else go Scenario.Memory)
+
+let matrix_tests =
+  List.concat_map
+    (fun topo ->
+      List.concat_map
+        (fun link -> [ matrix_case topo link false; matrix_case topo link true ])
+        [ ("in-process", Scenario.In_process); ("chaos-net", Scenario.Chaos_net) ])
+    [
+      ("single", Scenario.Single);
+      ("3 shards", Scenario.Sharded { shards = 3; gossip_every = 5 });
+    ]
+
+let checker_tests =
+  [
+    test "check: an uncrashed persisted run matches its oracle history" `Quick
+      (fun () ->
+        List.iter
+          (fun topology ->
+            with_run_dir (fun d ->
+                let spec =
+                  scenario ~topology ~durability:(Scenario.Dir d) ~compact:true
+                    ~seed:chaos_seed ~ops:30 ~sessions:3 ()
+                in
+                let chaos () = Chaos.make ~rate:0.05 ~seed:chaos_seed () in
+                check_clean (Chaos.with_chaos (chaos ()) (fun () -> Scenario.run spec));
+                check_clean (Scenario.check ~chaos:(chaos ()) spec)))
+          [ Scenario.Single; Scenario.Sharded { shards = 2; gossip_every = 4 } ]);
+    (* the properties above are only as strong as the bursts they see *)
+    test "the batch-oracle workload commits removals" `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let r = Scenario.run (batch_oracle_spec seed) in
+            check_clean r;
+            if r.Scenario.removed = 0 then
+              Alcotest.failf "seed %d committed no Remove delta" seed)
+          (List.init 60 Fun.id));
+    test "a sharded in-process burst routes across several shards" `Quick
+      (fun () ->
+        let r =
+          Scenario.run
+            (scenario
+               ~topology:(Scenario.Sharded { shards = 3; gossip_every = 5 })
+               ~seed:chaos_seed ~ops:40 ~sessions:4 ())
+        in
+        check_clean r;
+        check Alcotest.bool "some burst spans shards" true (r.Scenario.spanning > 0));
+    test "accounting flags head <> acked and unresolved submits" `Quick
+      (fun () ->
+        check Alcotest.int "clean" 0
+          (List.length
+             (Scenario.accounting_violations ~heads:[| 4; 2 |] ~acked:[| 4; 2 |]
+                ~unresolved:0));
+        check Alcotest.int "fabricated ack count" 1
+          (List.length
+             (Scenario.accounting_violations ~heads:[| 4; 2 |] ~acked:[| 4; 3 |]
+                ~unresolved:0));
+        check Alcotest.int "unresolved submit" 1
+          (List.length
+             (Scenario.accounting_violations ~heads:[| 4 |] ~acked:[| 4 |]
+                ~unresolved:1)));
+    test "the oracle flags a recovered view that differs from the history"
+      `Quick (fun () ->
+        let store = make_store () in
+        let history : Scenario.history = Hashtbl.create 4 in
+        Hashtbl.replace history 0 (Store.view_a store, Store.view_b store);
+        let va = Store.view_a store and vb = Store.view_b store in
+        check Alcotest.int "match" 0
+          (List.length (Scenario.oracle_violations history ~store:"s" (0, va, vb)));
+        let vb' = Rel.Table.insert vb (view_row 9001 "nina") in
+        check Alcotest.int "B view differs" 1
+          (List.length (Scenario.oracle_violations history ~store:"s" (0, va, vb')));
+        check Alcotest.int "never committed" 1
+          (List.length (Scenario.oracle_violations history ~store:"s" (3, va, vb))));
+  ]
+
 let suite =
   oplog_tests @ store_tests @ session_tests @ wire_unit_tests
-  @ convergence_tests
+  @ convergence_tests @ matrix_tests @ checker_tests
   @ Helpers.q (wire_property_tests @ chaos_property_tests)

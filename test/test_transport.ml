@@ -652,103 +652,33 @@ let chaos_net_tests =
           ((Core.stats (Chaos_net.core net)).Core.dedup_hits >= 1));
   ]
 
-(* The mini-soak: a remote-session workload through the chaos net under
-   a fixed seed.  Asserts the transport's headline properties exactly:
-   every acked commit is in the oplog once (head = acked), and after
-   the net heals every session converges to the head. *)
+(* The mini-soak: the scenario workload through the chaos net under a
+   fixed seed, faults confined to the net.* sites.  The scenario asserts
+   the transport's headline properties exactly: every acked commit is
+   in the oplog once (head = acked), and after the net heals every
+   session converges to the head. *)
 let chaos_soak_case seed =
   test (Printf.sprintf "chaos-net soak converges (seed %d)" seed) `Slow
     (fun () ->
-      let store = make_store ~size:32 () in
-      let net = Chaos_net.create (Wire.serve store) in
-      let clock = Chaos_net.clock net in
-      let policy =
-        {
-          (Retry.default ~seed ()) with
-          Retry.max_attempts = 8;
-          base_delay = 0.02;
-          attempt_timeout = 0.5;
-          deadline = 60.0;
-        }
-      in
       let chaos = Chaos.make ~rate:0.12 ~seed () in
-      let sessions =
-        List.init 4 (fun i ->
-            let side = if i mod 2 = 0 then `A else `B in
-            match
-              Remote_session.bind ~policy ~clock (Chaos_net.endpoint net)
-                ~name:(Printf.sprintf "m%d" (i + 1))
-                ~side
-            with
-            | Ok s -> s
-            | Error e -> Alcotest.failf "bind failed: %s" (Error.message e))
+      let report =
+        Chaos.with_chaos chaos (fun () ->
+            Chaos.at_sites [ "net." ] (fun () ->
+                Esm_sync.Scenario.run
+                  {
+                    Esm_sync.Scenario.topology = Single;
+                    link = Chaos_net;
+                    durability = Memory;
+                    compact = false;
+                    seed;
+                    ops = 60;
+                    sessions = 4;
+                  }))
       in
-      let r = Rel.Workload.rng ~seed in
-      let fresh = ref 0 in
-      let acked = ref 0 and rejected = ref 0 in
-      Chaos.with_chaos chaos (fun () ->
-          Chaos.at_sites
-            [
-              "net.drop";
-              "net.dup";
-              "net.reorder";
-              "net.truncate";
-              "net.delay";
-              "net.halfopen";
-            ]
-            (fun () ->
-              for _ = 1 to 60 do
-                let s =
-                  List.nth sessions (Rel.Workload.int r (List.length sessions))
-                in
-                incr fresh;
-                let row =
-                  match Remote_session.side s with
-                  | `A ->
-                      base_row (5000 + !fresh)
-                        ("nu" ^ string_of_int !fresh)
-                        "Engineering" 50_000
-                  | `B ->
-                      view_row (5000 + !fresh) ("nu" ^ string_of_int !fresh)
-                in
-                match Remote_session.submit s (`Batch [ Rel.Row_delta.Add row ]) with
-                | Ok _ -> incr acked
-                | Error e when Error.is_transient e -> (
-                    (* settle the in-doubt commit on a healed net *)
-                    Chaos_net.drain net;
-                    match
-                      Chaos.protected (fun () -> Remote_session.resolve s)
-                    with
-                    | Ok (Wire.Resp_ok _) -> incr acked
-                    | Ok _ -> incr rejected
-                    | Error e ->
-                        Alcotest.failf "unresolvable in-doubt commit: %s"
-                          (Error.message e))
-                | Error _ -> incr rejected
-              done));
-      Chaos_net.drain net;
-      (* no lost, no duplicated: one oplog entry per acked commit *)
-      check Alcotest.int "head = acked commits" !acked (Store.version store);
-      (* convergence on the healed net *)
-      Chaos.protected (fun () ->
-          List.iter
-            (fun s ->
-              match Remote_session.pull s with
-              | Ok (v, _) ->
-                  check Alcotest.int
-                    (Remote_session.name s ^ " at head")
-                    (Store.version store) v
-              | Error e ->
-                  Alcotest.failf "%s final pull failed: %s"
-                    (Remote_session.name s) (Error.message e))
-            sessions);
+      check Alcotest.(list string) "no violations" [] report.violations;
       (* the sites really fired: a soak that never hurt anything would
          prove nothing *)
-      let st = Chaos_net.stats net in
-      check Alcotest.bool "faults were injected" true
-        (st.Chaos_net.dropped + st.duped + st.truncated + st.delayed
-         + st.half_opened + st.reordered
-        > 0))
+      check Alcotest.bool "faults were injected" true (Chaos.injected chaos > 0))
 
 let chaos_soak_tests = [ chaos_soak_case 1; chaos_soak_case chaos_seed ]
 

@@ -21,6 +21,10 @@ val atomic : ('s, 'a) state -> ('s, ('a, Error.t) result) state
 
 (** {1 Transactional single operations} *)
 
+val attempt : ('s -> 'x) -> 's -> ('x, Error.t) result
+(** [attempt f s] is [Ok (f s)], or [Error e] when [f] raises a bx
+    exception ({!Error.of_exn}); programming errors propagate. *)
+
 val set_a :
   ('a, 'b, 's) Concrete.set_bx -> 'a -> 's -> ('s, Error.t) result
 

@@ -27,11 +27,7 @@ let kind_of_string = function
 
 (* Convert bx exceptions into typed results; programming errors keep
    propagating. *)
-let wrap f =
-  try Ok (f ()) with
-  | Error.Bx_error e -> Error e
-  | e -> (
-      match Error.of_exn e with Some t -> Error t | None -> raise e)
+let wrap f = Esm_core.Atomic.attempt f ()
 
 let apply_deltas t ds = Row_delta.apply_all t ds
 

@@ -1,12 +1,12 @@
 (** The versioned append-only operation log behind a replicated store.
 
     Versions are assigned densely: the [n]-th committed operation has
-    version [n], version [0] is the initial state.  Periodic snapshots
-    pin (version, state) pairs so crash recovery replays a bounded
-    suffix instead of the whole history.  States in this library are
-    immutable values, so a snapshot is just a retained binding — there
-    is no copying cost, only the decision of {e which} versions stay
-    reachable.
+    version [n], version [0] is the initial state.  One (version, state)
+    snapshot, refreshed periodically, lets crash recovery replay a
+    bounded suffix instead of the whole history.  States are immutable
+    values and replay is deterministic, so the newest snapshot is the
+    only one recovery ever needs: keeping older ones would make memory
+    grow with history, not with live state.
 
     Compaction introduces a {e horizon}: the version below which
     entries have been dropped because their effects are already folded
@@ -17,8 +17,7 @@ type 'op entry = { version : int; session : string; op : 'op }
 
 type ('op, 's) t = {
   mutable entries : 'op entry list;  (** newest first *)
-  mutable snapshots : (int * 's) list;
-      (** newest first; seeded [(horizon, init)] *)
+  mutable snapshot : int * 's;  (** seeded [(horizon, init)] *)
   mutable horizon : int;  (** entries with version <= horizon are gone *)
   snapshot_every : int;
 }
@@ -28,7 +27,7 @@ let create ?(snapshot_every = 8) ?(horizon = 0) ~(init : 's) () :
   if snapshot_every <= 0 then
     invalid_arg "Oplog.create: snapshot_every must be positive";
   if horizon < 0 then invalid_arg "Oplog.create: horizon must be >= 0";
-  { entries = []; snapshots = [ (horizon, init) ]; horizon; snapshot_every }
+  { entries = []; snapshot = (horizon, init); horizon; snapshot_every }
 
 let horizon (t : ('op, 's) t) : int = t.horizon
 
@@ -66,43 +65,35 @@ let entries_since (t : ('op, 's) t) (v : int) : 'op entry list =
     take [] t.entries
 
 (** The resync-aware read: either the replay suffix or, when [v] has
-    fallen below a positive horizon, the latest snapshot to restart
-    from.  Total for every integer [v]. *)
+    fallen below a positive horizon, the snapshot to restart from.
+    Total for every integer [v]. *)
 let read_since (t : ('op, 's) t) (v : int) :
     [ `Entries of 'op entry list | `Resync of int * 's ] =
   if t.horizon > 0 && v < t.horizon then
-    (* resync from the *latest* snapshot — it covers the longest
-       prefix, so the caller replays the shortest suffix *)
-    let v', s' = match t.snapshots with x :: _ -> x | [] -> assert false in
-    `Resync (v', s')
+    `Resync t.snapshot
   else `Entries (entries_since t v)
 
 let snapshot_due (t : ('op, 's) t) : bool =
   head_version t mod t.snapshot_every = 0
 
 let record_snapshot (t : ('op, 's) t) (version : int) (state : 's) : unit =
-  t.snapshots <- (version, state) :: t.snapshots
+  t.snapshot <- (version, state)
 
-(** The most recent snapshot — where a crashed store wakes up. *)
-let latest_snapshot (t : ('op, 's) t) : int * 's =
-  match t.snapshots with
-  | s :: _ -> s
-  | [] -> assert false (* [(horizon, init)] is seeded at creation *)
+(** The snapshot — where a crashed store wakes up. *)
+let latest_snapshot (t : ('op, 's) t) : int * 's = t.snapshot
 
-(** Drop every entry at or below the latest snapshot version, and every
-    older snapshot binding: after compaction the latest snapshot is the
-    new horizon — the exact prefix whose effects it already reflects.
-    Returns the number of entries dropped (0 when the snapshot is
-    already the horizon).  Idempotent. *)
+(** Drop every entry at or below the snapshot version: the snapshot
+    becomes the new horizon — the exact prefix whose effects it already
+    reflects.  Returns the number of entries dropped (0 when the
+    snapshot is already the horizon).  Idempotent. *)
 let compact (t : ('op, 's) t) : int =
-  let v, s = latest_snapshot t in
+  let v, _ = t.snapshot in
   if v <= t.horizon then 0
   else begin
     let keep, dropped =
       List.partition (fun e -> e.version > v) t.entries
     in
     t.entries <- keep;
-    t.snapshots <- [ (v, s) ];
     t.horizon <- v;
     List.length dropped
   end

@@ -2,12 +2,13 @@
     (see [docs/SYNC.md]).
 
     Versions are dense: the [n]-th committed operation has version [n];
-    version [0] is the initial state.  Snapshots pin (version, state)
-    pairs — states are immutable values, so a snapshot is a retained
-    binding, and crash recovery replays only the suffix after the most
-    recent one.
+    version [0] is the initial state.  The log keeps exactly one
+    (version, state) snapshot — states are immutable values and replay
+    is deterministic, so crash recovery needs only the newest one and
+    replays the suffix after it.  Memory is bounded by the live state
+    plus the retained suffix, not by history.
 
-    {!compact} drops the prefix at or below the latest snapshot and
+    {!compact} drops the prefix at or below the snapshot and
     records its version as the {e horizon}: the effects of every
     dropped entry are already reflected in that snapshot (the
     effect-quotienting reading), so nothing observable is lost — but
@@ -68,22 +69,23 @@ val read_since :
   ('op, 's) t -> int -> [ `Entries of 'op entry list | `Resync of int * 's ]
 (** The resync-aware read, total for every integer: [`Entries suffix]
     when the argument is servable (same list as {!entries_since}), or
-    [`Resync (version, state)] — the latest snapshot to restart from —
+    [`Resync (version, state)] — the snapshot to restart from —
     when it has fallen below a positive horizon. *)
 
 val snapshot_due : ('op, 's) t -> bool
 (** Is the head version a multiple of the snapshot period? *)
 
 val record_snapshot : ('op, 's) t -> int -> 's -> unit
+(** Replace the snapshot with [(version, state)]. *)
 
 val latest_snapshot : ('op, 's) t -> int * 's
-(** The most recent snapshot — where a crashed store wakes up. *)
+(** The snapshot — where a crashed store wakes up. *)
 
 val compact : ('op, 's) t -> int
-(** Drop every entry at or below the latest snapshot version and every
-    older snapshot; that version becomes the new horizon.  Returns the
-    number of entries dropped (0 when the latest snapshot is already
-    the horizon — compaction is idempotent).  [head_version] is
+(** Drop every entry at or below the snapshot version; that version
+    becomes the new horizon.  Returns the number of entries dropped (0
+    when the snapshot is already the horizon — compaction is
+    idempotent).  [head_version] is
     unchanged: compaction never loses operations, only their
     already-applied representations. *)
 

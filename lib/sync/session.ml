@@ -50,7 +50,6 @@ let check_side (t : ('a, 'b, 'da, 'db) t) (op : ('a, 'b, 'da, 'db) Store.op)
     match (op, t.side) with
     | (Store.Set_a _ | Store.Batch_a _), `A -> true
     | (Store.Set_b _ | Store.Batch_b _), `B -> true
-    | Store.Exec _, _ -> true
     | _ -> false
   in
   if ok then Ok ()

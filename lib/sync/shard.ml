@@ -81,17 +81,14 @@ let stats (t : ('a, 'b, 'da, 'db) t) : stats =
     commit independently — sharding trades the single cell's atomicity
     for scale, which is why the router must split along key boundaries
     (each row has exactly one owner, so a partial failure leaves no
-    row half-updated).  A router that throws a typed error (e.g. on an
-    unroutable [Exec]) yields one [(-1, Error _)] outcome. *)
+    row half-updated).  A router that throws a typed error yields one
+    [(-1, Error _)] outcome. *)
 let submit (t : ('a, 'b, 'da, 'db) t) ~(session : string)
     (op : ('a, 'b, 'da, 'db) Store.op) :
     (int * (int, Error.t) result) list =
-  match t.route op with
-  | exception exn when Error.is_bx_exn exn -> (
-      match Error.of_exn exn with
-      | Some e -> [ (-1, Error e) ]
-      | None -> raise exn)
-  | parts ->
+  match Atomic.attempt t.route op with
+  | Error e -> [ (-1, Error e) ]
+  | Ok parts ->
       List.map
         (fun (i, sub) ->
           if i < 0 || i >= Array.length t.stores then
@@ -206,8 +203,7 @@ module Relational = struct
   (* Split one logical op along row ownership.  Whole-view sets reach
      *every* shard (a shard whose partition came out empty must still be
      overwritten — its previous rows were deleted); delta bursts reach
-     only the shards owning touched rows.  [Exec] programs close over
-     whole-state functions and have no row decomposition. *)
+     only the shards owning touched rows. *)
   let route_op ~(shards : int) ~(shard_of_row : Row.t -> int) (op : rop) :
       (int * rop) list =
     let partition (tbl : Table.t) : Table.t array =
@@ -242,9 +238,6 @@ module Relational = struct
         List.map (fun (i, ds) -> (i, Store.Batch_a ds)) (grouped ds)
     | Store.Batch_b ds ->
         List.map (fun (i, ds) -> (i, Store.Batch_b ds)) (grouped ds)
-    | Store.Exec _ ->
-        Error.raise_error Error.Other ~op:"route"
-          "Exec programs are not routable across shards"
 
   (* Shard [i]'s reconstruction of the whole view: its own partition
      union every replica's.  Sound for row-wise views (select/where and

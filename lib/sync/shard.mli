@@ -61,8 +61,7 @@ val submit :
     shard; per-shard outcomes in routing order.  Parts commit
     independently — the router's key-disjointness is what keeps a
     partial failure from leaving any single row half-updated.  A router
-    that raises a typed error (an unroutable [Exec]) yields one
-    [(-1, Error _)] outcome. *)
+    that raises a typed error yields one [(-1, Error _)] outcome. *)
 
 val gossip_round : ('a, 'b, 'da, 'db) t -> unit
 (** One anti-entropy round: every directed edge [(i, j)] pulls peer
@@ -107,8 +106,8 @@ module Relational : sig
     shards:int -> shard_of_row:(Row.t -> int) -> rop -> (int * rop) list
   (** Split along row ownership: whole-view sets partition to {e every}
       shard (an empty partition still overwrites — its rows were
-      deleted); delta bursts go only to the shards owning touched rows;
-      [Exec] raises a typed error (no row decomposition). *)
+      deleted); delta bursts go only to the shards owning touched
+      rows. *)
 
   val full_view_a : rt -> int -> Table.t
   (** Shard [i]'s reconstruction of the whole A view: its own partition

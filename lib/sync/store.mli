@@ -1,6 +1,6 @@
 (** A replicated store: a packed bx served behind a versioned
     append-only {!Oplog} with transactional commits, optimistic version
-    checks, periodic snapshots and crash recovery by replay (see
+    checks, one retained snapshot and crash recovery by replay (see
     [docs/SYNC.md]).
 
     Chaos sites: ["sync.oplog.append"] (commit aborts whole),
@@ -17,7 +17,6 @@ type ('a, 'b, 'da, 'db) op =
       (** a coalesced burst of A-side deltas: one materialised view,
           one set through the bx, one oplog record *)
   | Batch_b of 'db list
-  | Exec of ('a, 'b) Command.t
 
 val op_kind : ('a, 'b, 'da, 'db) op -> string
 
@@ -32,9 +31,7 @@ type ('a, 'b, 'da, 'db) op_codec = {
     the codec for relational stores).  Snapshots record the A view and
     {!reopen} reconstructs the state as [set_a a init] — exact whenever
     the A view determines the state, in particular for every lens-packed
-    store.  [encode_op] may raise a typed error for non-serialisable
-    operations ([Exec] programs contain functions); such a commit then
-    fails whole on a persisted store. *)
+    store. *)
 
 type ('a, 'b, 'da, 'db) persist
 
@@ -149,7 +146,7 @@ val read_since :
   [ `Entries of ('a, 'b, 'da, 'db) op Oplog.entry list | `Resync of int * 'a ]
 (** The resync-aware read, total for every integer: the replay suffix
     when the version is still servable, or [`Resync (version, a_view)]
-    — the latest snapshot's version and A view, from which a replica
+    — the snapshot's version and A view, from which a replica
     restarts ({!follower_resync}) — when it has fallen below the
     compaction horizon. *)
 
@@ -158,16 +155,15 @@ val horizon : ('a, 'b, 'da, 'db) t -> int
 
 val compact : ('a, 'b, 'da, 'db) t -> (int, Error.t) result
 (** Snapshot-anchored compaction: drop the oplog prefix at or below the
-    latest snapshot, returning how many entries were dropped (0 when
+    snapshot, returning how many entries were dropped (0 when
     the snapshot is already the horizon).  On a persisted store the
     durable side moves first — the anchor snapshot is written to
     [snapshot.bin], then [log.bin] is rewritten with a base record and
     the retained suffix ({!Durable_log.compact}, tmp + fsync + rename)
     — and only then does the in-memory oplog drop its prefix, so a
-    failure at any stage (an injected fault at ["sync.durable.write"]
-    or ["sync.durable.compact"], a non-serialisable [Exec] in the
-    retained suffix) leaves the full history intact and returns the
-    typed error.  {!head_version} and every view are unchanged:
+    failure at either stage (an injected fault at ["sync.durable.write"]
+    or ["sync.durable.compact"]) leaves the full history intact and
+    returns the typed error.  {!head_version} and every view are unchanged:
     compaction drops representations whose effects the snapshot already
     reflects, never operations. *)
 
@@ -182,14 +178,15 @@ val commit :
 (** Commit one operation, returning the new version.  [?expect] is the
     optimistic version check: if another session committed since, the
     result is an [Error.Conflict] naming the winners and nothing is
-    applied.  The application itself runs under {!Esm_core.Atomic.run} —
-    a failing update rolls back and appends nothing.  A crashed store
+    applied.  The application itself runs under
+    {!Esm_core.Atomic.attempt} — a failing update rolls back and appends
+    nothing.  A crashed store
     ({!version} behind {!head_version}) refuses commits until
     {!recover}. *)
 
 val crash : ('a, 'b, 'da, 'db) t -> unit
-(** Simulate a crash: volatile state resets to the latest snapshot; the
-    oplog survives.  Commits are refused until {!recover}. *)
+(** Simulate a crash: volatile state resets to the oplog's snapshot;
+    the oplog survives.  Commits are refused until {!recover}. *)
 
 val recover : ('a, 'b, 'da, 'db) t -> unit
 (** Recovery by replay: fold the oplog suffix after the snapshot back
@@ -202,8 +199,10 @@ val recover : ('a, 'b, 'da, 'db) t -> unit
 
     A follower is a detached replica of a store's entangled state, fed
     entry-by-entry from a peer's oplog — the receiving half of gossip
-    ({!Shard}).  It shares the bx code but owns its state and version;
-    it never commits, so it needs no oplog of its own. *)
+    ({!Shard}).  A store and a follower are the same replica state
+    machine — bx code, delta appliers, state and version — and replay
+    entries by the same fault-absorbing step as {!recover}; a follower
+    never commits, so it needs no oplog of its own. *)
 
 type ('a, 'b, 'da, 'db) follower
 

@@ -21,9 +21,11 @@
     {b Degradation is typed.}  A connection whose response queue
     exceeds its bound gets typed [Error.Overload] answers {e without
     execution and without touching the dedup window} — shed load is
-    retryable load.  Sessions that go dark are reaped; frames that
-    cannot be decoded surface as typed transport errors, never as
-    exceptions out of the event loop.
+    retryable load — and the socket server stops reading it until the
+    client drains its responses, so flow control, not server memory,
+    absorbs a client that never reads.  Sessions that go dark are
+    reaped; frames that cannot be decoded surface as typed transport
+    errors, never as exceptions out of the event loop.
 
     {b The test network is the real stack.}  {!Chaos_net} runs the
     same {!Core} behind the same {!Frame} decoder as the socket
@@ -538,9 +540,16 @@ module Server = struct
         Option.iter close_fd t.listen_fd;
         t.listen_fd <- None
       end;
+      (* back-pressure: a connection whose queued responses exceed the
+         bound is not read until its client drains them, so a client
+         that writes and never reads is held by TCP flow control
+         instead of growing the outbox without limit *)
       let reads =
         (match t.listen_fd with Some fd -> [ fd ] | None -> [])
-        @ List.map (fun c -> c.fd) t.conns
+        @ List.filter_map
+            (fun c ->
+              if pending c > t.config.max_pending then None else Some c.fd)
+            t.conns
       in
       let writes =
         List.filter_map
@@ -726,7 +735,6 @@ module Remote_session = struct
   let name t = t.name
   let side t = t.side
   let base t = t.base
-  let last_id t = match t.current with Some (id, _) -> id | None -> 0
   let close t = t.ep.ep_close ()
 
   (* One send-and-await under the per-attempt deadline.  Responses to

@@ -130,7 +130,10 @@ val string_of_addr : Unix.sockaddr -> string
 
 module Server : sig
   type config = {
-    max_pending : int;  (** per-connection response-queue bound *)
+    max_pending : int;
+        (** per-connection response-queue bound: past it, requests
+            already read are shed as [Overload] and the connection is
+            not read again until its client drains the queue *)
     max_conns : int;  (** accepted connections beyond this are shed *)
     idle_timeout : float;  (** heartbeat bound before a conn is reaped *)
     drain_grace : float;  (** max seconds to flush queues on shutdown *)
@@ -240,8 +243,6 @@ module Remote_session : sig
   val view : t -> (int * Row.t list, Error.t) result
   val ping : t -> (unit, Error.t) result
   val bye : t -> (unit, Error.t) result
-
-  val last_id : t -> int
 
   val resolve : t -> (Wire.response, Error.t) result
   (** Resend the last envelope id once more (fresh attempt budget) to

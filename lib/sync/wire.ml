@@ -263,9 +263,7 @@ let parse_response (line : string) : response =
 (* The durable log frames opaque payloads (Durable_log); this codec
    fills them in for relational stores by reusing the row/delta wire
    grammar: [set_a <rows>], [set_b <rows>], [batch_a <deltas>],
-   [batch_b <deltas>], and the bare A view rows for snapshots.  [Exec]
-   programs contain functions and do not serialise — encoding one is a
-   typed error, which fails the commit whole on a persisted store. *)
+   [batch_b <deltas>], and the bare A view rows for snapshots. *)
 let durable_op_codec ~(schema_a : Schema.t) ~(schema_b : Schema.t) :
     (Table.t, Table.t, Row_delta.t, Row_delta.t) Store.op_codec =
   let table_of schema rows = Table.of_rows schema rows in
@@ -276,11 +274,7 @@ let durable_op_codec ~(schema_a : Schema.t) ~(schema_b : Schema.t) :
         | Store.Set_a t -> String.trim ("set_a " ^ render_rows (Table.rows t))
         | Store.Set_b t -> String.trim ("set_b " ^ render_rows (Table.rows t))
         | Store.Batch_a ds -> String.trim ("batch_a " ^ render_deltas ds)
-        | Store.Batch_b ds -> String.trim ("batch_b " ^ render_deltas ds)
-        | Store.Exec _ ->
-            Error.raise_error Error.Other ~op:"durable"
-              "Exec ops are not serialisable (programs contain functions); \
-               commit the resulting sets instead");
+        | Store.Batch_b ds -> String.trim ("batch_b " ^ render_deltas ds));
     decode_op =
       (fun s ->
         let word, rest = cut_word s in

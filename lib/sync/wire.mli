@@ -53,9 +53,7 @@ val durable_op_codec :
 (** The {!Store.op_codec} for relational stores, reusing the row/delta
     wire grammar for durable-log payloads ([set_a <rows>],
     [batch_b +<row> ; -<row>], …).  [schema_a] / [schema_b] rebuild
-    tables on decode (the on-disk payload carries rows, not schemas).
-    Encoding an [Exec] op raises a typed error — programs contain
-    functions and do not serialise. *)
+    tables on decode (the on-disk payload carries rows, not schemas). *)
 
 (** {1 Server} *)
 

@@ -315,24 +315,6 @@ let roundtrip_tests =
         check Alcotest.bool "not persisted" false (Store.persisted store);
         Store.flush store;
         Store.close store);
-    test "Exec ops refuse to persist with a typed error" `Quick (fun () ->
-        with_tmp_dir (fun dir ->
-            let store = make_pstore ~dir () in
-            let res =
-              Store.commit ~session:"s1" store
-                (Store.Exec (Command.Set_b (Store.view_b store)))
-            in
-            (match res with
-            | Ok _ -> Alcotest.fail "expected a typed error"
-            | Error e ->
-                check Alcotest.bool "Other kind" true (e.Error.kind = Error.Other));
-            check Alcotest.int "nothing committed" 0 (Store.version store);
-            Store.close store;
-            match reopen ~dir () with
-            | Ok r ->
-                check Alcotest.int "nothing on disk" 0 (Store.head_version r);
-                Store.close r
-            | Error e -> Alcotest.failf "reopen: %s" (Error.message e)));
   ]
 
 (* ------------------------------------------------------------------ *)

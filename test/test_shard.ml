@@ -17,7 +17,7 @@
     - session resync: a session whose base fell below the horizon
       pulls through the typed resync and lands on the head;
     - routers: [route_op] partitioning (whole-view sets reach every
-      shard, deltas only their owners, [Exec] is typed-unroutable),
+      shard, deltas only their owners),
       hash and range routers;
     - gossip: convergence once rounds quiesce, resync of a follower
       that fell below a peer's compaction horizon, and the chaos seed
@@ -460,17 +460,6 @@ let router_tests =
                ])
         in
         check Alcotest.int "two owners" 2 (List.length parts));
-    test "route_op: Exec is typed-unroutable" `Quick (fun () ->
-        try
-          ignore
-            (Shard.Relational.route_op ~shards:2
-               ~shard_of_row:(shard_of_row ~shards:2)
-               (Store.Exec
-                  (Command.Set_b
-                     (Rel.Table.of_rows schema_b [ view_row 1 "x" ]))));
-          Alcotest.fail "Exec must raise"
-        with Error.Bx_error e ->
-          check Alcotest.bool "typed Other" true (e.Error.kind = Error.Other));
     test "hash router: total, stable, in range" `Quick (fun () ->
         let route =
           Shard.Relational.hash_router ~shards:4 ~key:[ "id" ]

@@ -3,7 +3,8 @@
     - {!Esm_sync.Oplog}: dense versioning, suffix reads, snapshots;
     - {!Esm_sync.Store}: transactional commits (a failing update
       appends nothing), optimistic conflicts, batched delta bursts as
-      one oplog record, crash + replay recovery;
+      one oplog record, crash + replay recovery, memory bounded by
+      live state rather than snapshot history;
     - {!Esm_sync.Session}: side enforcement, pull/rebase;
     - {!Esm_sync.Wire}: codec roundtrips and the in-process server;
     - chaos properties: recovery reproduces the uncrashed store, a
@@ -235,6 +236,42 @@ let store_tests =
           (Rel.Table.equal va (Store.view_a store));
         check Alcotest.bool "B view reproduced" true
           (Rel.Table.equal vb (Store.view_b store)));
+    test "memory is bounded by live state, not by snapshot history" `Quick
+      (fun () ->
+        let store = Scenario.store ~seed:5 ~size:4096 () in
+        let rows = Array.of_list (Rel.Table.rows (Store.view_a store)) in
+        (* 400 one-row edits (a salary bump) at a constant table size:
+           50 snapshot periods of 8 commits *)
+        for i = 0 to 399 do
+          let old_row = rows.(i) in
+          let new_row =
+            Rel.Row.of_list
+              (List.mapi
+                 (fun j v ->
+                   match v with
+                   | Rel.Value.Int s when j = 3 -> Rel.Value.Int (s + 1)
+                   | v -> v)
+                 (Rel.Row.to_list old_row))
+          in
+          match
+            Store.commit ~session:"a1" store
+              (Store.Batch_a
+                 [ Rel.Row_delta.Remove old_row; Rel.Row_delta.Add new_row ])
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "commit %d failed: %s" i (Error.message e)
+        done;
+        check Alcotest.int "size constant" 4096
+          (Rel.Table.cardinality (Store.view_a store));
+        (* the store holds the live state, one snapshot and the oplog;
+           a snapshot per period would hold 50 more table spines and
+           their key indexes *)
+        let words x = Obj.reachable_words (Obj.repr x) in
+        let ratio =
+          float_of_int (words store) /. float_of_int (words (Store.view_a store))
+        in
+        if ratio >= 2.0 then
+          Alcotest.failf "store holds %.1fx its A view" ratio);
     test "replicated pedigree preserves the base law level" `Quick (fun () ->
         let store = make_store () in
         (match Store.pedigree store with

@@ -17,7 +17,8 @@
       the no-lost/no-duplicated-commit accounting and convergence;
     - {!Esm_sync.Transport.Server}: a real Unix-domain socket server
       driven single-threaded through the endpoint's pump hook,
-      including shutdown drain. *)
+      including shutdown drain and back-pressure on a client that never
+      reads. *)
 
 open Esm_core
 open Esm_sync
@@ -787,6 +788,66 @@ let server_tests =
             Server.run srv;
             check Alcotest.int "all connections closed" 0
               (Server.conn_count srv)));
+    test "a client that never reads cannot grow the server's queue" `Quick
+      (fun () ->
+        with_unix_server (fun srv addr ->
+            let frames =
+              Array.init 20_000 (fun i ->
+                  Frame.encode
+                    (Envelope.render_req
+                       {
+                         Envelope.id = i + 1;
+                         session = "slow";
+                         body = Wire.render_request Wire.Ping;
+                       }))
+            in
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                Unix.connect fd addr;
+                Unix.set_nonblock fd;
+                (* one write per frame, like a real client; never read.
+                   Stop once neither the client's writes nor the
+                   server's reads move for 200 consecutive steps. *)
+                let requests () = (Core.stats (Server.core srv)).Core.requests in
+                let rec go i off idle =
+                  if i < Array.length frames && idle < 200 then begin
+                    let f = frames.(i) in
+                    let n =
+                      try
+                        Unix.single_write_substring fd f off
+                          (String.length f - off)
+                      with
+                      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+                      ->
+                        0
+                    in
+                    let before = requests () in
+                    Server.step srv ~timeout:0.001;
+                    let idle =
+                      if n > 0 || requests () > before then 0 else idle + 1
+                    in
+                    if off + n = String.length f then go (i + 1) 0 idle
+                    else go i (off + n) idle
+                  end
+                in
+                go 0 0 0;
+                (* The server reads a connection only while at most
+                   [max_pending] (64) responses wait on it.  So it reads
+                   the responses the kernel buffers for the non-reading
+                   client, plus the bound, plus the frames one read
+                   finds queued; the rest waits in the client's blocked
+                   socket.  Socket buffers charge each small write its
+                   full per-packet overhead, so each buffer holds only a
+                   few hundred frames: on Linux about 140 requests are
+                   read however many the client offers.  A server
+                   without back-pressure reads all 20 000. *)
+                let read = requests () in
+                if read >= 1000 then
+                  Alcotest.failf "server read %d of %d unread-client requests"
+                    read (Array.length frames);
+                check Alcotest.int "connection kept" 1 (Server.conn_count srv))));
   ]
 
 let suite =

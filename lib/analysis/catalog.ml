@@ -1127,52 +1127,26 @@ let audit_entry (Entry s : entry) : audit =
     Law_infer.consistent_with_observation ~static:inferred ~observed
   in
   let lint_subject subj =
+    let pipeline subject requested ~has_sets lint x =
+      {
+        subject;
+        requested;
+        diagnostics =
+          Option.to_list (Lint.check_level ~requested ~inferred ~subject)
+          @ Option.to_list (Lint.check_atomicity ~pedigree ~has_sets ~subject)
+          @ lint ~requested ~inferred ~eq_a:s.eq_a ~eq_b:s.eq_b x;
+      }
+    in
     match subj with
     | Cmd (subject, requested, cmd) ->
-        let global =
-          Option.to_list (Lint.check_level ~requested ~inferred ~subject)
-          @ Option.to_list
-              (Lint.check_atomicity ~pedigree
-                 ~has_sets:(Lint.command_has_sets cmd) ~subject)
-        in
-        {
-          subject;
-          requested;
-          diagnostics =
-            global
-            @ Lint.lint_command ~requested ~inferred ~eq_a:s.eq_a
-                ~eq_b:s.eq_b cmd;
-        }
+        pipeline subject requested ~has_sets:(Lint.command_has_sets cmd)
+          Lint.lint_command cmd
     | Prog (subject, requested, ops) ->
-        let global =
-          Option.to_list (Lint.check_level ~requested ~inferred ~subject)
-          @ Option.to_list
-              (Lint.check_atomicity ~pedigree
-                 ~has_sets:(Lint.program_has_sets ops) ~subject)
-        in
-        {
-          subject;
-          requested;
-          diagnostics =
-            global
-            @ Lint.lint_program ~requested ~inferred ~eq_a:s.eq_a
-                ~eq_b:s.eq_b ops;
-        }
+        pipeline subject requested ~has_sets:(Lint.program_has_sets ops)
+          Lint.lint_program ops
     | Puts (subject, requested, ops) ->
-        let global =
-          Option.to_list (Lint.check_level ~requested ~inferred ~subject)
-          @ Option.to_list
-              (Lint.check_atomicity ~pedigree
-                 ~has_sets:(Lint.puts_have_sets ops) ~subject)
-        in
-        {
-          subject;
-          requested;
-          diagnostics =
-            global
-            @ Lint.lint_puts ~requested ~inferred ~eq_a:s.eq_a ~eq_b:s.eq_b
-                ops;
-        }
+        pipeline subject requested ~has_sets:(Lint.puts_have_sets ops)
+          Lint.lint_puts ops
   in
   {
     label = s.label;

@@ -1,12 +1,17 @@
 (** Law-level lint: an abstract interpretation over the command language
-    ({!Esm_core.Command.t}) and the first-order op language
-    ({!Esm_core.Program.op}) that reports every law-driven rewrite
-    opportunity together with the {e minimum law level that justifies
-    it}, and checks those requirements against the level statically
-    inferred from the target bx's pedigree ({!Law_infer}).
+    ({!Esm_core.Command.t}), the first-order op language
+    ({!Esm_core.Program.op}) and put scripts that reports every
+    law-driven rewrite opportunity together with the {e minimum law
+    level that justifies it}, and checks those requirements against the
+    level statically inferred from the target bx's pedigree
+    ({!Law_infer}).
 
-    The analysis runs the optimizer's own knowledge domain
-    ({!Esm_core.Command.knowledge}) twice in lockstep:
+    The paper states each law once and instantiates it per side, and so
+    does the interpreter: its state is a pair of per-side [half]s, and
+    one write step, one read step and the (GS)/(GP) set and put steps
+    are each written for "side [s], own half, opposite half".  Each half
+    runs the optimizer's knowledge domain (the statically-known current
+    value, as in {!Esm_core.Command.optimize_at}) twice in lockstep:
 
     - [plain] propagates knowledge soundly for {e every} lawful set-bx —
       a set invalidates the opposite view (entanglement);
@@ -204,249 +209,257 @@ let program_has_sets (ops : ('a, 'b) Program.op list) : bool =
 (* The abstract domain                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** A pending (not yet read) same-side set: its op index, whether the
-    opposite side has been written since, and the value that was
-    statically known {e before} it (when a later same-side set restores
-    exactly that value, the pair cancels under the undo law — one lattice
-    point below the (SS) collapse). *)
+(** A pending (not yet read) write: its op index, whether the opposite
+    side has been written since, and the value that was statically known
+    {e before} it (when a later same-side set restores exactly that
+    value, the pair cancels under the undo law — one lattice point below
+    the (SS) collapse; a put records [None] and never cancels). *)
 type 'v pending = { at : int; crossed : bool; prev : 'v option }
 
-type ('a, 'b) st = {
-  plain : ('a, 'b) Command.knowledge;  (** sound for any lawful set-bx *)
-  comm : ('a, 'b) Command.knowledge;  (** valid only under commutation *)
-  pend_a : 'a pending option;
-  pend_b : 'b pending option;
+(** What the interpreter knows about one side's view; the state is a
+    pair of halves, one per side. *)
+type 'v half = {
+  plain : 'v option;  (** the current value, sound for any lawful set-bx *)
+  comm : 'v option;  (** the current value, valid only under commutation *)
+  pend : 'v pending option;  (** this side's unread write *)
+  ret : bool;
+      (** the current value was handed back to the caller by the most
+          recent put, so a get re-reads a value the caller holds *)
 }
 
-let top = { plain = Command.nothing; comm = Command.nothing; pend_a = None; pend_b = None }
+let top = { plain = None; comm = None; pend = None; ret = false }
+let forget x = { x with pend = None }
+let swap (x, y) = (y, x)
+let other = function A -> B | B -> A
+let put_name s = "put_" ^ side_name s ^ side_name (other s)
+let view_name s = String.uppercase_ascii (side_name s)
 
-let cross (p : 'v pending option) : 'v pending option =
-  Option.map (fun p -> { p with crossed = true }) p
+(* Every step below is written once, for side [s] with its own half [x]
+   and the opposite half [y], and returns the pair in that order;
+   callers pass [(a, b)] or [(b, a)].  [emit] records one finding. *)
+type emit = rule -> Law_infer.level -> int -> string -> unit
+
+(** How a script language words a write and its collapse: [sets] for
+    commands and op lists, [puts] for put scripts. *)
+type lang = {
+  name : side -> string;
+  collapse : side -> rule;
+  unread : string;  (** why an overwritten write collapses *)
+  across : string;  (** why collapsing it first needs commutation *)
+}
+
+let sets =
+  {
+    name = (fun s -> "set_" ^ side_name s);
+    collapse = (fun s -> Collapsible_set s);
+    unread = " before being read; (SS) collapses them";
+    across = ", but the opposite side was written in between";
+  }
+
+let puts =
+  {
+    name = put_name;
+    collapse = (fun s -> Collapsible_put s);
+    unread = " before either view is read; (PP) collapses them";
+    across = " across opposite-direction puts";
+  }
+
+(** Entanglement: a write to one side leaves the other side's value
+    known only under commutation, and crosses its pending write. *)
+let entangle y =
+  {
+    y with
+    plain = None;
+    pend = Option.map (fun p -> { p with crossed = true }) y.pend;
+    ret = false;
+  }
+
+(** The write step: [v] overwrites side [s] at op [i].  Reports the
+    pending write it overwrites — cancelled by the undo law, collapsed by
+    (SS)/(PP), or collapsible only after reordering across opposite-side
+    writes — then applies entanglement.  [prev] is what a later write
+    may undo this one to. *)
+let write (emit : emit) l s eq i v ~prev x y =
+  let op = l.name s in
+  (match x.pend with
+  | Some { at; crossed = false; prev = Some v0 } when eq v v0 ->
+      emit (Undo_cancel s) `Undoable at
+        (Printf.sprintf
+           "%s at op %d is undone by the %s at op %d restoring the value \
+            current before it; the undo law cancels the pair"
+           op at op i)
+  | Some { at; crossed = false; _ } ->
+      emit (l.collapse s) `Overwriteable at
+        (Printf.sprintf "%s at op %d is overwritten by the %s at op %d%s" op
+           at op i l.unread)
+  | Some { at; crossed = true; _ } ->
+      emit (Reorder_collapse s) `Commuting at
+        (Printf.sprintf
+           "%s at op %d is overwritten by the %s at op %d%s; collapsing \
+            requires commutation"
+           op at op i l.across)
+  | None -> ());
+  ( {
+      plain = Some v;
+      comm = Some v;
+      pend = Some { at = i; crossed = false; prev };
+      ret = false;
+    },
+    entangle y )
+
+(** The read step, (SG)/(PG): a read of [s] at op [i] folds at [`Set_bx]
+    when its value is statically known or was just returned by a put,
+    and needs commutation when known only across opposite-side writes. *)
+let read (emit : emit) s i x ~known ~across =
+  match (x.plain, x.comm) with
+  | Some _, _ -> emit (Foldable_read s) `Set_bx i known
+  | None, _ when x.ret ->
+      emit (Foldable_read s) `Set_bx i
+        (Printf.sprintf
+           "get_%s re-reads the %s view the preceding %s returned; (PG) \
+            folds it to the returned value"
+           (side_name s) (view_name s)
+           (put_name (other s)))
+  | None, Some _ -> emit (Foldable_read s) `Commuting i across
+  | None, None -> ()
+
+(** (GS)/(GP): is [v] already the current value of [s]?  Reports the
+    deletion at [`Set_bx] when it is, and at [`Commuting] when it only
+    was before opposite-side writes. *)
+let dead (emit : emit) rule eq i v x ~current ~before =
+  match (x.plain, x.comm) with
+  | Some v0, _ when eq v v0 ->
+      emit rule `Set_bx i current;
+      true
+  | _, Some v0 when eq v v0 ->
+      emit rule `Commuting i before;
+      false
+  | _ -> false
+
+(** A set of [v] to [s]: deleted by (GS), else a write that a later set
+    may undo to the value known before it. *)
+let set emit s eq i v x y =
+  let op = "set_" ^ side_name s in
+  if
+    dead emit (Dead_set s) eq i v x
+      ~current:(op ^ " of the already-current value; (GS) deletes it")
+      ~before:
+        (op
+       ^ " of a value current before the opposite-side set(s); deleting it \
+          requires commutation")
+  then (x, y)
+  else write emit sets s eq i v ~prev:x.plain x y
+
+(** A put of view [v] from [s]: (GP) replaces it by a get of the
+    opposite view.  Either way the caller now holds the opposite view. *)
+let put emit s eq i v x y =
+  let op = put_name s in
+  let x, y =
+    if
+      dead emit (Dead_put s) eq i v x
+        ~current:
+          (Printf.sprintf
+             "%s of the already-current %s view is a state no-op; (GP) \
+              replaces it with get_%s"
+             op (view_name s)
+             (side_name (other s)))
+        ~before:
+          (op
+         ^ " of a view current before the opposite-direction put(s); \
+            deleting it requires commutation")
+    then (x, y)
+    else write emit puts s eq i v ~prev:None x y
+  in
+  (x, { y with ret = true })
+
+(** Run a front-end's walk with an [emit] that grades each finding
+    against the two levels; findings come back in emission order. *)
+let collect ~requested ~inferred (walk : emit -> unit) : diagnostic list =
+  let diags = ref [] in
+  walk (fun rule requires at message ->
+      let severity = decide_severity ~requested ~inferred ~requires in
+      diags := { rule; severity; requires; at; message } :: !diags);
+  List.rev !diags
+
+(** Thread the state through an op list; [step] gets each op's index. *)
+let walk_ops step ops =
+  ignore
+    (List.fold_left
+       (fun (i, st) op -> (i + 1, step i st op))
+       (0, (top, top))
+       ops)
 
 (* ------------------------------------------------------------------ *)
 (* Command lint                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(** [Modify_s f] reads [s] and writes [f] of it: (SG) folds it to a
+    constant set when the value is known, mirroring the optimizer. *)
+let modify emit s eq i f x y =
+  let op = "modify_" ^ side_name s in
+  read emit s i x
+    ~known:
+      (op ^ " reads a statically-known value; (SG) folds it to a constant set")
+    ~across:
+      (op
+     ^ " reads a value known only across opposite-side sets; folding it \
+        requires commutation");
+  match x.plain with
+  | Some v0 -> write emit sets s eq i (f v0) ~prev:x.plain x y
+  | None ->
+      (* the modify both reads (clearing the pending set) and writes; a
+         modify is not collapsible by the optimizer, so it leaves no
+         pending set of its own *)
+      ({ top with comm = Option.map f x.comm }, entangle y)
+
+(** An [If_s] guard [p]: (SG) selects the branch when [s] is known. *)
+let guard emit s i p x =
+  let op = "if_" ^ side_name s in
+  read emit s i x
+    ~known:
+      (op ^ " guard reads a statically-known value; (SG) selects the branch")
+    ~across:
+      (op
+     ^ " guard is known only across opposite-side sets; folding the branch \
+        requires commutation");
+  Option.map p x.plain
+
 let lint_command (type a b) ~(requested : Law_infer.level)
     ~(inferred : Law_infer.level) ~(eq_a : a -> a -> bool)
     ~(eq_b : b -> b -> bool) (cmd : (a, b) Command.t) : diagnostic list =
-  let diags = ref [] in
-  let emit rule requires at message =
-    let severity = decide_severity ~requested ~inferred ~requires in
-    diags := { rule; severity; requires; at; message } :: !diags
-  in
-  let merge eq k1 k2 =
-    match (k1, k2) with Some x, Some y when eq x y -> Some x | _ -> None
-  in
-  (* The transfer function for a set to side A (and mirrored for B),
-     shared by [Set_] and the fold-through of [Modify_]. *)
-  let set_a_transfer (st : (a, b) st) (i : int) (v : a) : (a, b) st =
-    (match st.pend_a with
-    | Some { at; crossed = false; prev = Some v0 } when eq_a v v0 ->
-        emit (Undo_cancel A) `Undoable at
-          (Printf.sprintf
-             "set_a at op %d is undone by the set_a at op %d restoring the \
-              value current before it; the undo law cancels the pair"
-             at i)
-    | Some { at; crossed = false; _ } ->
-        emit (Collapsible_set A) `Overwriteable at
-          (Printf.sprintf
-             "set_a at op %d is overwritten by the set_a at op %d before \
-              being read; (SS) collapses them"
-             at i)
-    | Some { at; crossed = true; _ } ->
-        emit (Reorder_collapse A) `Commuting at
-          (Printf.sprintf
-             "set_a at op %d is overwritten by the set_a at op %d, but the \
-              opposite side was written in between; collapsing requires \
-              commutation"
-             at i)
-    | None -> ());
-    {
-      plain = { Command.known_a = Some v; known_b = None };
-      comm = { st.comm with Command.known_a = Some v };
-      pend_a = Some { at = i; crossed = false; prev = st.plain.Command.known_a };
-      pend_b = cross st.pend_b;
-    }
-  in
-  let set_b_transfer (st : (a, b) st) (i : int) (v : b) : (a, b) st =
-    (match st.pend_b with
-    | Some { at; crossed = false; prev = Some v0 } when eq_b v v0 ->
-        emit (Undo_cancel B) `Undoable at
-          (Printf.sprintf
-             "set_b at op %d is undone by the set_b at op %d restoring the \
-              value current before it; the undo law cancels the pair"
-             at i)
-    | Some { at; crossed = false; _ } ->
-        emit (Collapsible_set B) `Overwriteable at
-          (Printf.sprintf
-             "set_b at op %d is overwritten by the set_b at op %d before \
-              being read; (SS) collapses them"
-             at i)
-    | Some { at; crossed = true; _ } ->
-        emit (Reorder_collapse B) `Commuting at
-          (Printf.sprintf
-             "set_b at op %d is overwritten by the set_b at op %d, but the \
-              opposite side was written in between; collapsing requires \
-              commutation"
-             at i)
-    | None -> ());
-    {
-      plain = { Command.known_a = None; known_b = Some v };
-      comm = { st.comm with Command.known_b = Some v };
-      pend_a = cross st.pend_a;
-      pend_b = Some { at = i; crossed = false; prev = st.plain.Command.known_b };
-    }
+  collect ~requested ~inferred @@ fun emit ->
+  let join eq x1 x2 =
+    let merge k1 k2 =
+      match (k1, k2) with Some x, Some y when eq x y -> Some x | _ -> None
+    in
+    { top with plain = merge x1.plain x2.plain; comm = merge x1.comm x2.comm }
   in
   (* Pre-order walk; [i] is the index of the next operation. *)
-  let rec go (i : int) (st : (a, b) st) (cmd : (a, b) Command.t) :
-      int * (a, b) st =
-    match cmd with
+  let rec go i ((a, b) as st : a half * b half) = function
     | Command.Skip -> (i, st)
     | Command.Seq (c1, c2) ->
         let i, st = go i st c1 in
         go i st c2
-    | Command.Set_a v -> (
-        match (st.plain.Command.known_a, st.comm.Command.known_a) with
-        | Some v0, _ when eq_a v v0 ->
-            emit (Dead_set A) `Set_bx i
-              "set_a of the already-current value; (GS) deletes it";
-            (i + 1, st)
-        | _, Some v0 when eq_a v v0 ->
-            emit (Dead_set A) `Commuting i
-              "set_a of a value current before the opposite-side set(s); \
-               deleting it requires commutation";
-            (i + 1, set_a_transfer st i v)
-        | _ -> (i + 1, set_a_transfer st i v))
-    | Command.Set_b v -> (
-        match (st.plain.Command.known_b, st.comm.Command.known_b) with
-        | Some v0, _ when eq_b v v0 ->
-            emit (Dead_set B) `Set_bx i
-              "set_b of the already-current value; (GS) deletes it";
-            (i + 1, st)
-        | _, Some v0 when eq_b v v0 ->
-            emit (Dead_set B) `Commuting i
-              "set_b of a value current before the opposite-side set(s); \
-               deleting it requires commutation";
-            (i + 1, set_b_transfer st i v)
-        | _ -> (i + 1, set_b_transfer st i v))
-    | Command.Modify_a f -> (
-        match (st.plain.Command.known_a, st.comm.Command.known_a) with
-        | Some v0, _ ->
-            emit (Foldable_read A) `Set_bx i
-              "modify_a reads a statically-known value; (SG) folds it to a \
-               constant set";
-            (* mirror the optimizer: the modify becomes [Set_a (f v0)] *)
-            (i + 1, set_a_transfer st i (f v0))
-        | None, Some v0 ->
-            emit (Foldable_read A) `Commuting i
-              "modify_a reads a value known only across opposite-side sets; \
-               folding it requires commutation";
-            let _ = f v0 in
-            ( i + 1,
-              {
-                plain = { Command.known_a = None; known_b = None };
-                comm = { st.comm with Command.known_a = Some (f v0) };
-                (* the modify both reads (clearing the pending set) and
-                   writes A; a modify is not collapsible by the
-                   optimizer, so it leaves no pending set of its own *)
-                pend_a = None;
-                pend_b = cross st.pend_b;
-              } )
-        | None, None ->
-            ( i + 1,
-              {
-                plain = { Command.known_a = None; known_b = None };
-                comm = { st.comm with Command.known_a = None };
-                pend_a = None;
-                pend_b = cross st.pend_b;
-              } ))
-    | Command.Modify_b f -> (
-        match (st.plain.Command.known_b, st.comm.Command.known_b) with
-        | Some v0, _ ->
-            emit (Foldable_read B) `Set_bx i
-              "modify_b reads a statically-known value; (SG) folds it to a \
-               constant set";
-            (i + 1, set_b_transfer st i (f v0))
-        | None, Some v0 ->
-            emit (Foldable_read B) `Commuting i
-              "modify_b reads a value known only across opposite-side sets; \
-               folding it requires commutation";
-            let _ = f v0 in
-            ( i + 1,
-              {
-                plain = { Command.known_a = None; known_b = None };
-                comm = { st.comm with Command.known_b = Some (f v0) };
-                pend_a = cross st.pend_a;
-                pend_b = None;
-              } )
-        | None, None ->
-            ( i + 1,
-              {
-                plain = { Command.known_a = None; known_b = None };
-                comm = { st.comm with Command.known_b = None };
-                pend_a = cross st.pend_a;
-                pend_b = None;
-              } ))
-    | Command.If_a (p, c1, c2) -> (
-        match (st.plain.Command.known_a, st.comm.Command.known_a) with
-        | Some v0, _ ->
-            emit (Foldable_read A) `Set_bx i
-              "if_a guard reads a statically-known value; (SG) selects the \
-               branch";
-            go (i + 1) st (if p v0 then c1 else c2)
-        | None, comm_known ->
-            (match comm_known with
-            | Some _ ->
-                emit (Foldable_read A) `Commuting i
-                  "if_a guard is known only across opposite-side sets; \
-                   folding the branch requires commutation"
-            | None -> ());
-            branch i { st with pend_a = None } c1 c2)
-    | Command.If_b (p, c1, c2) -> (
-        match (st.plain.Command.known_b, st.comm.Command.known_b) with
-        | Some v0, _ ->
-            emit (Foldable_read B) `Set_bx i
-              "if_b guard reads a statically-known value; (SG) selects the \
-               branch";
-            go (i + 1) st (if p v0 then c1 else c2)
-        | None, comm_known ->
-            (match comm_known with
-            | Some _ ->
-                emit (Foldable_read B) `Commuting i
-                  "if_b guard is known only across opposite-side sets; \
-                   folding the branch requires commutation"
-            | None -> ());
-            branch i { st with pend_b = None } c1 c2)
-  and branch (i : int) (st : (a, b) st) c1 c2 : int * (a, b) st =
-    (* Lint both arms from the guard's post-state; join knowledge
-       pointwise and drop pending sets — a collapse across an unfolded
-       branch boundary is not a rewrite the optimizer performs. *)
-    let st0 = { st with pend_a = None; pend_b = None } in
-    let i1, st1 = go (i + 1) st0 c1 in
-    let i2, st2 = go i1 st0 c2 in
-    ( i2,
-      {
-        plain =
-          {
-            Command.known_a =
-              merge eq_a st1.plain.Command.known_a st2.plain.Command.known_a;
-            known_b =
-              merge eq_b st1.plain.Command.known_b st2.plain.Command.known_b;
-          };
-        comm =
-          {
-            Command.known_a =
-              merge eq_a st1.comm.Command.known_a st2.comm.Command.known_a;
-            known_b =
-              merge eq_b st1.comm.Command.known_b st2.comm.Command.known_b;
-          };
-        pend_a = None;
-        pend_b = None;
-      } )
+    | Command.Set_a v -> (i + 1, set emit A eq_a i v a b)
+    | Command.Set_b v -> (i + 1, swap (set emit B eq_b i v b a))
+    | Command.Modify_a f -> (i + 1, modify emit A eq_a i f a b)
+    | Command.Modify_b f -> (i + 1, swap (modify emit B eq_b i f b a))
+    | Command.If_a (p, c1, c2) -> branch i st (guard emit A i p a) c1 c2
+    | Command.If_b (p, c1, c2) -> branch i st (guard emit B i p b) c1 c2
+  and branch i ((a, b) as st) taken c1 c2 =
+    match taken with
+    | Some taken -> go (i + 1) st (if taken then c1 else c2)
+    | None ->
+        (* Lint both arms from the guard's post-state; join knowledge
+           pointwise and drop pending writes — a collapse across an
+           unfolded branch boundary is not a rewrite the optimizer
+           performs. *)
+        let st0 = (forget a, forget b) in
+        let i, (a1, b1) = go (i + 1) st0 c1 in
+        let i, (a2, b2) = go i st0 c2 in
+        (i, (join eq_a a1 a2, join eq_b b1 b2))
   in
-  let _ = go 0 top cmd in
-  List.rev !diags
+  ignore (go 0 (top, top) cmd)
 
 (* ------------------------------------------------------------------ *)
 (* Program (op-list) lint                                              *)
@@ -456,112 +469,24 @@ let lint_program (type a b) ~(requested : Law_infer.level)
     ~(inferred : Law_infer.level) ~(eq_a : a -> a -> bool)
     ~(eq_b : b -> b -> bool) (ops : (a, b) Program.op list) : diagnostic list
     =
-  let diags = ref [] in
-  let emit rule requires at message =
-    let severity = decide_severity ~requested ~inferred ~requires in
-    diags := { rule; severity; requires; at; message } :: !diags
+  collect ~requested ~inferred @@ fun emit ->
+  let get s i x =
+    let op = "get_" ^ side_name s in
+    read emit s i x
+      ~known:(op ^ " returns a statically-known value; (SG) folds it")
+      ~across:
+        (op
+       ^ " returns a value known only across opposite-side sets; folding \
+          it requires commutation");
+    forget x
   in
-  let collapse_pending side ~undo (p : _ pending option) (i : int) =
-    match p with
-    | Some { at; crossed = false; _ } when undo ->
-        emit (Undo_cancel side) `Undoable at
-          (Printf.sprintf
-             "set_%s at op %d is undone by the set_%s at op %d restoring \
-              the value current before it; the undo law cancels the pair"
-             (side_name side) at (side_name side) i)
-    | Some { at; crossed = false; _ } ->
-        emit (Collapsible_set side) `Overwriteable at
-          (Printf.sprintf
-             "set_%s at op %d is overwritten by the set_%s at op %d before \
-              being read; (SS) collapses them"
-             (side_name side) at (side_name side) i)
-    | Some { at; crossed = true; _ } ->
-        emit (Reorder_collapse side) `Commuting at
-          (Printf.sprintf
-             "set_%s at op %d is overwritten by the set_%s at op %d across \
-              opposite-side writes; collapsing requires commutation"
-             (side_name side) at (side_name side) i)
-    | None -> ()
+  let step i ((a, b) : a half * b half) = function
+    | Program.Get_a -> (get A i a, b)
+    | Program.Get_b -> (a, get B i b)
+    | Program.Set_a v -> set emit A eq_a i v a b
+    | Program.Set_b v -> swap (set emit B eq_b i v b a)
   in
-  let step (st : (a, b) st) (i : int) (op : (a, b) Program.op) : (a, b) st =
-    match op with
-    | Program.Get_a ->
-        (match (st.plain.Command.known_a, st.comm.Command.known_a) with
-        | Some _, _ ->
-            emit (Foldable_read A) `Set_bx i
-              "get_a returns a statically-known value; (SG) folds it"
-        | None, Some _ ->
-            emit (Foldable_read A) `Commuting i
-              "get_a returns a value known only across opposite-side sets; \
-               folding it requires commutation"
-        | None, None -> ());
-        { st with pend_a = None }
-    | Program.Get_b ->
-        (match (st.plain.Command.known_b, st.comm.Command.known_b) with
-        | Some _, _ ->
-            emit (Foldable_read B) `Set_bx i
-              "get_b returns a statically-known value; (SG) folds it"
-        | None, Some _ ->
-            emit (Foldable_read B) `Commuting i
-              "get_b returns a value known only across opposite-side sets; \
-               folding it requires commutation"
-        | None, None -> ());
-        { st with pend_b = None }
-    | Program.Set_a v -> (
-        match (st.plain.Command.known_a, st.comm.Command.known_a) with
-        | Some v0, _ when eq_a v v0 ->
-            emit (Dead_set A) `Set_bx i
-              "set_a of the already-current value; (GS) deletes it";
-            st
-        | plain_known, comm_known ->
-            (match (plain_known, comm_known) with
-            | _, Some v0 when eq_a v v0 ->
-                emit (Dead_set A) `Commuting i
-                  "set_a of a value current before the opposite-side \
-                   set(s); deleting it requires commutation"
-            | _ -> ());
-            collapse_pending A
-              ~undo:
-                (match st.pend_a with
-                | Some { prev = Some v0; _ } -> eq_a v v0
-                | _ -> false)
-              st.pend_a i;
-            {
-              plain = { Command.known_a = Some v; known_b = None };
-              comm = { st.comm with Command.known_a = Some v };
-              pend_a =
-                Some { at = i; crossed = false; prev = st.plain.Command.known_a };
-              pend_b = cross st.pend_b;
-            })
-    | Program.Set_b v -> (
-        match (st.plain.Command.known_b, st.comm.Command.known_b) with
-        | Some v0, _ when eq_b v v0 ->
-            emit (Dead_set B) `Set_bx i
-              "set_b of the already-current value; (GS) deletes it";
-            st
-        | plain_known, comm_known ->
-            (match (plain_known, comm_known) with
-            | _, Some v0 when eq_b v v0 ->
-                emit (Dead_set B) `Commuting i
-                  "set_b of a value current before the opposite-side \
-                   set(s); deleting it requires commutation"
-            | _ -> ());
-            collapse_pending B
-              ~undo:
-                (match st.pend_b with
-                | Some { prev = Some v0; _ } -> eq_b v v0
-                | _ -> false)
-              st.pend_b i;
-            {
-              plain = { Command.known_a = None; known_b = Some v };
-              comm = { st.comm with Command.known_b = Some v };
-              pend_a = cross st.pend_a;
-              pend_b =
-                Some { at = i; crossed = false; prev = st.plain.Command.known_b };
-            })
-  in
-  let _ = List.fold_left (fun (st, i) op -> (step st i op, i + 1)) (top, 0) ops in
-  List.rev !diags
+  walk_ops step ops
 
 (* ------------------------------------------------------------------ *)
 (* Put-presentation lint                                               *)
@@ -576,144 +501,29 @@ type ('a, 'b) put_op =
 let puts_have_sets (ops : ('a, 'b) put_op list) : bool =
   List.exists (function Put_ab _ | Put_ba _ -> true | _ -> false) ops
 
-(** The abstract state for the put presentation.  Beyond the two
-    knowledge copies of the set lint, a put {e returns} the propagated
-    opposite view to the caller, so [ret_a]/[ret_b] track "the current
-    value of this view was handed back by the most recent put" — a
-    following get re-reads a value the caller already holds and is
-    foldable at [`Set_bx] even though the value is not statically
-    known. *)
-type ('a, 'b) pst = {
-  pplain : ('a, 'b) Command.knowledge;
-  pcomm : ('a, 'b) Command.knowledge;
-  ret_a : bool;
-  ret_b : bool;
-  pend_ab : 'a pending option;  (** an unobserved [Put_ab] *)
-  pend_ba : 'b pending option;  (** an unobserved [Put_ba] *)
-}
-
-let ptop =
-  {
-    pplain = Command.nothing;
-    pcomm = Command.nothing;
-    ret_a = false;
-    ret_b = false;
-    pend_ab = None;
-    pend_ba = None;
-  }
-
 let lint_puts (type a b) ~(requested : Law_infer.level)
     ~(inferred : Law_infer.level) ~(eq_a : a -> a -> bool)
     ~(eq_b : b -> b -> bool) (ops : (a, b) put_op list) : diagnostic list =
-  let diags = ref [] in
-  let emit rule requires at message =
-    let severity = decide_severity ~requested ~inferred ~requires in
-    diags := { rule; severity; requires; at; message } :: !diags
+  collect ~requested ~inferred @@ fun emit ->
+  (* any put writes both views, so reading either view observes the most
+     recent put in each direction *)
+  let get s i x (a, b) =
+    let op = "get_" ^ side_name s in
+    read emit s i x
+      ~known:(op ^ " returns a statically-known view; (PG) folds it")
+      ~across:
+        (op
+       ^ " returns a view known only across opposite-direction puts; \
+          folding it requires commutation");
+    (forget a, forget b)
   in
-  let collapse_pending side (p : _ pending option) (i : int) =
-    let dir = match side with A -> "ab" | B -> "ba" in
-    match p with
-    | Some { at; crossed = false; _ } ->
-        emit (Collapsible_put side) `Overwriteable at
-          (Printf.sprintf
-             "put_%s at op %d is overwritten by the put_%s at op %d before \
-              either view is read; (PP) collapses them"
-             dir at dir i)
-    | Some { at; crossed = true; _ } ->
-        emit (Reorder_collapse side) `Commuting at
-          (Printf.sprintf
-             "put_%s at op %d is overwritten by the put_%s at op %d across \
-              opposite-direction puts; collapsing requires commutation"
-             dir at dir i)
-    | None -> ()
+  let step i ((a, b) as st : a half * b half) = function
+    | Pget_a -> get A i a st
+    | Pget_b -> get B i b st
+    | Put_ab v -> put emit A eq_a i v a b
+    | Put_ba v -> swap (put emit B eq_b i v b a)
   in
-  let step (st : (a, b) pst) (i : int) (op : (a, b) put_op) : (a, b) pst =
-    match op with
-    | Pget_a ->
-        (match (st.pplain.Command.known_a, st.pcomm.Command.known_a) with
-        | Some _, _ ->
-            emit (Foldable_read A) `Set_bx i
-              "get_a returns a statically-known view; (PG) folds it"
-        | None, _ when st.ret_a ->
-            emit (Foldable_read A) `Set_bx i
-              "get_a re-reads the A view the preceding put_ba returned; \
-               (PG) folds it to the returned value"
-        | None, Some _ ->
-            emit (Foldable_read A) `Commuting i
-              "get_a returns a view known only across opposite-direction \
-               puts; folding it requires commutation"
-        | None, None -> ());
-        (* any put writes both views, so reading either view observes the
-           most recent put in each direction *)
-        { st with pend_ab = None; pend_ba = None }
-    | Pget_b ->
-        (match (st.pplain.Command.known_b, st.pcomm.Command.known_b) with
-        | Some _, _ ->
-            emit (Foldable_read B) `Set_bx i
-              "get_b returns a statically-known view; (PG) folds it"
-        | None, _ when st.ret_b ->
-            emit (Foldable_read B) `Set_bx i
-              "get_b re-reads the B view the preceding put_ab returned; \
-               (PG) folds it to the returned value"
-        | None, Some _ ->
-            emit (Foldable_read B) `Commuting i
-              "get_b returns a view known only across opposite-direction \
-               puts; folding it requires commutation"
-        | None, None -> ());
-        { st with pend_ab = None; pend_ba = None }
-    | Put_ab v -> (
-        match (st.pplain.Command.known_a, st.pcomm.Command.known_a) with
-        | Some v0, _ when eq_a v v0 ->
-            emit (Dead_put A) `Set_bx i
-              "put_ab of the already-current A view is a state no-op; \
-               (GP) replaces it with get_b";
-            (* deleting the put still hands the caller the current B
-               view (via get_b), so the return stays available *)
-            { st with ret_b = true }
-        | plain_known, comm_known ->
-            (match (plain_known, comm_known) with
-            | _, Some v0 when eq_a v v0 ->
-                emit (Dead_put A) `Commuting i
-                  "put_ab of a view current before the opposite-direction \
-                   put(s); deleting it requires commutation"
-            | _ -> ());
-            collapse_pending A st.pend_ab i;
-            {
-              pplain = { Command.known_a = Some v; known_b = None };
-              pcomm = { st.pcomm with Command.known_a = Some v };
-              ret_a = false;
-              ret_b = true;
-              pend_ab = Some { at = i; crossed = false; prev = None };
-              pend_ba = cross st.pend_ba;
-            })
-    | Put_ba v -> (
-        match (st.pplain.Command.known_b, st.pcomm.Command.known_b) with
-        | Some v0, _ when eq_b v v0 ->
-            emit (Dead_put B) `Set_bx i
-              "put_ba of the already-current B view is a state no-op; \
-               (GP) replaces it with get_a";
-            { st with ret_a = true }
-        | plain_known, comm_known ->
-            (match (plain_known, comm_known) with
-            | _, Some v0 when eq_b v v0 ->
-                emit (Dead_put B) `Commuting i
-                  "put_ba of a view current before the opposite-direction \
-                   put(s); deleting it requires commutation"
-            | _ -> ());
-            collapse_pending B st.pend_ba i;
-            {
-              pplain = { Command.known_a = None; known_b = Some v };
-              pcomm = { st.pcomm with Command.known_b = Some v };
-              ret_a = true;
-              ret_b = false;
-              pend_ab = cross st.pend_ab;
-              pend_ba = Some { at = i; crossed = false; prev = None };
-            })
-  in
-  let _ =
-    List.fold_left (fun (st, i) op -> (step st i op, i + 1)) (ptop, 0) ops
-  in
-  List.rev !diags
+  walk_ops step ops
 
 (* ------------------------------------------------------------------ *)
 (* Plan lint: abstract domains over relational query pipelines         *)

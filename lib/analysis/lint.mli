@@ -1,4 +1,4 @@
-(** Law-level lint over the command and op languages.
+(** Law-level lint over the command, op and put-script languages.
 
     Reports every law-driven rewrite opportunity with the minimum law
     level that justifies it, and grades each against the level the

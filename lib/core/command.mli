@@ -26,8 +26,7 @@ type ('a, 'b) knowledge = { known_a : 'a option; known_b : 'b option }
 
 val nothing : ('a, 'b) knowledge
 (** The empty knowledge (both views unknown) — the abstract domain's top
-    element, also used by the {!Esm_analysis.Lint} abstract
-    interpreter. *)
+    element. *)
 
 type level = [ `Any | `Undoable | `Overwriteable | `Commuting ]
 

@@ -76,6 +76,5 @@ let pp fmt (s : script) =
     ~pp_sep:(fun fmt () -> Format.fprintf fmt "@.")
     pp_stmt fmt s
 
-let stmt_to_string s = Format.asprintf "%a" pp_stmt s
 let to_string s = Format.asprintf "%a" pp s
 let equal (s1 : script) (s2 : script) = s1 = s2

@@ -44,7 +44,6 @@ type script = stmt list
 
 val pp_stmt : Format.formatter -> stmt -> unit
 val pp : Format.formatter -> script -> unit
-val stmt_to_string : stmt -> string
 val to_string : script -> string
 
 val equal : script -> script -> bool

@@ -105,15 +105,3 @@ let delta (table : Table.t) (stmt : t) : Row_delta.t list =
 let through_delta (dl : Rlens.dlens) (stmt : t) (source : Table.t) : Table.t =
   let view = Esm_lens.Lens.get dl.Rlens.lens source in
   Rlens.put_delta dl source (delta view stmt)
-
-(** The provenance of the {!through} path on a delta pipeline: the lens
-    pipeline itself (the statement runs on the view, the whole edited
-    view goes through [put]). *)
-let through_pedigree (dl : Rlens.dlens) : Esm_core.Pedigree.t =
-  dl.Rlens.pedigree
-
-(** The provenance of the {!through_delta} path: delta propagation over
-    the pipeline — same law level as the full put it agrees with (the
-    oracle property), recorded as {!Esm_core.Pedigree.Delta_of}. *)
-let through_delta_pedigree (dl : Rlens.dlens) : Esm_core.Pedigree.t =
-  Esm_core.Pedigree.Delta_of dl.Rlens.pedigree

@@ -28,11 +28,3 @@ val delta : Table.t -> t -> Row_delta.t list
 val through_delta : Rlens.dlens -> t -> Table.t -> Table.t
 (** Delta-propagating {!through}: the statement's view deltas are pushed
     through {!Rlens.put_delta} instead of replacing the whole view. *)
-
-val through_pedigree : Rlens.dlens -> Esm_core.Pedigree.t
-(** Provenance of the {!through} path: the lens pipeline itself. *)
-
-val through_delta_pedigree : Rlens.dlens -> Esm_core.Pedigree.t
-(** Provenance of the {!through_delta} path:
-    [Delta_of] the pipeline — the delta translation agrees with the full
-    put (the oracle property), so the law level is preserved. *)

@@ -315,72 +315,6 @@ let () =
         Some (Esm_core.Error.of_message Esm_core.Error.Other m)
     | _ -> None)
 
-(** Compile a single-base pipeline query into a relational lens from the
-    base table to the view — the view-update problem, end to end: parse a
-    view definition, get a lens, feed it to {!Esm_core.Of_lens} and edit
-    the view through the entangled state monad.
-
-    Supported stages: [where] (select lens), [select] (project lens —
-    the key columns must survive the projection), [rename] (iso).  Set
-    operations are not updatable here and raise {!Not_updatable}.
-
-    [schema] is the base-table schema and [key] the columns that
-    identify rows (used by the project lens to restore dropped values,
-    and renamed along with everything else by [rename] stages). *)
-let to_lens ~(schema : Schema.t) ~(key : string list) (q : t) :
-    (Table.t, Table.t) Esm_lens.Lens.t =
-  (* Walk from the base outward, threading the current schema and the
-     current names of the key columns. *)
-  let rec go :
-      t -> (Table.t, Table.t) Esm_lens.Lens.t * Schema.t * string list =
-    function
-    | Base _ ->
-        (Esm_lens.Lens.with_name "base" Esm_lens.Lens.id, schema, key)
-    | Where (p, q) ->
-        let l, sch, key = go q in
-        List.iter
-          (fun c ->
-            if not (Schema.mem sch c) then
-              not_updatable "where: unknown column %s" c)
-          (Pred.columns_used p);
-        (Esm_lens.Lens.compose l (Rlens.select p), sch, key)
-    | Project (cols, q) ->
-        let l, sch, key = go q in
-        List.iter
-          (fun k ->
-            if not (List.mem k cols) then
-              not_updatable
-                "select: key column %s must be kept for the view to be \
-                 updatable"
-                k)
-          key;
-        ( Esm_lens.Lens.compose l (Rlens.project ~keep:cols ~key sch),
-          Schema.project sch cols,
-          key )
-    | Rename (mapping, q) ->
-        let l, sch, key = go q in
-        let rename_one n =
-          match List.assoc_opt n mapping with Some n' -> n' | None -> n
-        in
-        ( Esm_lens.Lens.compose l (Rlens.rename mapping),
-          Schema.rename sch mapping,
-          List.map rename_one key )
-    | Union _ -> not_updatable "union views are not updatable"
-    | Diff _ -> not_updatable "diff views are not updatable"
-    | Join _ ->
-        not_updatable
-          "join views over one base are not updatable (use Rlens.join on a \
-           pair of tables)"
-    | Product _ -> not_updatable "product views are not updatable"
-  in
-  let lens, _, _ = go q in
-  Esm_lens.Lens.with_name ("view: " ^ to_string q) lens
-
-(** Parse a view definition and compile it in one step. *)
-let lens_of_string ~schema ~key (input : string) :
-    (Table.t, Table.t) Esm_lens.Lens.t =
-  to_lens ~schema ~key (parse input)
-
 (** The pedigree {!to_lens} compilation produces: a [Plan] node over the
     composed combinator pedigrees, mirroring the compilation walk.
     Total — shapes {!to_lens} rejects get an [Opaque] body instead of
@@ -417,8 +351,8 @@ let pedigree ~(schema : Schema.t) ~(key : string list) (q : t) :
   Esm_core.Pedigree.Plan { query = to_string q; body }
 
 (** Compile a single-base pipeline into a delta-capable lens
-    ({!Rlens.dlens}): same supported stages and checks as {!to_lens},
-    but view edits can be pushed back incrementally with
+    ({!Rlens.dlens}) — the one compilation walk, whose [lens] is
+    {!to_lens}; view edits can be pushed back incrementally with
     {!Rlens.put_delta} / {!Dml.through_delta} instead of replacing the
     whole view.  This is the cold compiler; {!to_dlens} routes through
     the plan cache. *)
@@ -472,6 +406,19 @@ let to_dlens_uncached ~(schema : Schema.t) ~(key : string list) (q : t) :
       Esm_core.Pedigree.Plan
         { query = to_string q; body = dl.Rlens.pedigree };
   }
+
+(** Compile a single-base pipeline query into a relational lens from the
+    base table to the view: the full-put lens of {!to_dlens_uncached},
+    so both compilers share one walk, one set of checks and one
+    {!Not_updatable} vocabulary. *)
+let to_lens ~(schema : Schema.t) ~(key : string list) (q : t) :
+    (Table.t, Table.t) Esm_lens.Lens.t =
+  (to_dlens_uncached ~schema ~key q).Rlens.lens
+
+(** Parse a view definition and compile it in one step. *)
+let lens_of_string ~schema ~key (input : string) :
+    (Table.t, Table.t) Esm_lens.Lens.t =
+  to_lens ~schema ~key (parse input)
 
 (* ------------------------------------------------------------------ *)
 (* The plan cache                                                      *)

@@ -299,9 +299,6 @@ let key_index_checked (t : t) (key : int list) :
 let find_by_key (t : t) ~(key : int list) (k : Value.t list) : Row.t option =
   Hashtbl.find_opt (key_index t key) k
 
-let mem_key (t : t) ~(key : int list) (k : Value.t list) : bool =
-  Hashtbl.mem (key_index t key) k
-
 (* ------------------------------------------------------------------ *)
 (* Structural hash, equality and printing                              *)
 (* ------------------------------------------------------------------ *)

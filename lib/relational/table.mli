@@ -102,8 +102,6 @@ val revalidate_indexes : t -> bool
 val find_by_key : t -> key:int list -> Value.t list -> Row.t option
 (** Indexed key lookup (amortised O(1)). *)
 
-val mem_key : t -> key:int list -> Value.t list -> bool
-
 (** {1 Structural hash}
 
     The substrate of the incremental recomputation layer (see

@@ -825,8 +825,7 @@ module Remote_session = struct
     | Ok (Wire.Resp_ok v) ->
         t.base <- v;
         Ok t
-    | Ok resp -> (
-        match protocol_error ~expected:"ok" resp with Error e -> Error e | Ok _ -> assert false)
+    | Ok resp -> protocol_error ~expected:"ok" resp
     | Error e -> Error e
 
   let submit t (op : [ `Set of Row.t list | `Batch of Row_delta.t list ]) :
@@ -840,8 +839,6 @@ module Remote_session = struct
         Ok v
     | Ok resp -> protocol_error ~expected:"ok" resp
     | Error e -> Error e
-
-  let submit_rebase = submit
 
   let pull t : (int * int, Error.t) result =
     match request t Wire.Pull with
@@ -860,19 +857,13 @@ module Remote_session = struct
   let ping t : (unit, Error.t) result =
     match request t Wire.Ping with
     | Ok Wire.Resp_pong -> Ok ()
-    | Ok resp -> (
-        match protocol_error ~expected:"pong" resp with
-        | Error e -> Error e
-        | Ok _ -> assert false)
+    | Ok resp -> protocol_error ~expected:"pong" resp
     | Error e -> Error e
 
   let bye t : (unit, Error.t) result =
     match request t Wire.Bye with
     | Ok (Wire.Resp_ok _) -> Ok ()
-    | Ok resp -> (
-        match protocol_error ~expected:"ok" resp with
-        | Error e -> Error e
-        | Ok _ -> assert false)
+    | Ok resp -> protocol_error ~expected:"ok" resp
     | Error e -> Error e
 
   (* Settle an in-doubt request: same id, fresh attempt budget.  Run it

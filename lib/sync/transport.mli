@@ -18,7 +18,7 @@
       listener multiplexing hundreds of connections over one
       {!Wire.server}, with heartbeat reaping and clean SIGTERM drain;
     - {!Remote_session} — the client: the same
-      [bind]/[submit]/[pull]/[submit_rebase] surface as {!Session},
+      [bind]/[submit]/[pull] surface as {!Session},
       over any {!Remote_session.endpoint}, with per-request deadlines
       and bounded {!Retry} backoff;
     - {!Chaos_net} — an in-process endpoint that feeds the real
@@ -229,12 +229,6 @@ module Remote_session : sig
       the returned version.  The server applies it with
       {!Session.submit_rebase} semantics, so like that call this is
       last-writer-wins through the bx. *)
-
-  val submit_rebase :
-    t -> [ `Set of Row.t list | `Batch of Row_delta.t list ] ->
-    (int, Error.t) result
-  (** Alias of {!submit}, mirroring the {!Session} surface (the rebase
-      happens server-side). *)
 
   val pull : t -> (int * int, Error.t) result
   (** [(version, entries-received)] — advances the base like

@@ -463,6 +463,33 @@ let suite =
                  c)
               s
             = Command.exec bx c s);
+        (* The set front-ends agree: a set-only op list lints exactly as
+           the command sequencing the same sets — same rules, levels,
+           positions and wording. *)
+        QCheck.Test.make ~count:500
+          ~name:"set-only scripts: lint_program = lint_command of the Seq"
+          QCheck.(
+            pair
+              (list_of_size Gen.(0 -- 8) (pair bool (int_bound 3)))
+              (pair (int_bound 3) (int_bound 3)))
+          (fun (sets, (r, i)) ->
+            let levels = [| `Set_bx; `Undoable; `Overwriteable; `Commuting |] in
+            let requested = levels.(r) and inferred = levels.(i) in
+            let ops =
+              List.map
+                (fun (on_a, v) ->
+                  if on_a then Program.Set_a v else Program.Set_b v)
+                sets
+            in
+            let cmd =
+              List.fold_right
+                (fun (on_a, v) rest ->
+                  Command.Seq
+                    ((if on_a then Command.Set_a v else Command.Set_b v), rest))
+                sets Command.Skip
+            in
+            lint_ops ~requested ~inferred ops
+            = lint_cmd ~requested ~inferred cmd);
         (* Running the optimizer at (or below) the inferred level never
            produces an error diagnostic. *)
         QCheck.Test.make ~count:400

@@ -9,7 +9,9 @@
        on a Unix-domain ("unix:PATH") or TCP ("HOST:PORT", ":PORT")
        socket, multiplexing every connection over one select loop.
        SIGTERM/SIGINT request a clean drain: stop accepting, flush
-       queued responses, print the transport stats, exit 0.
+       queued responses, print the transport stats, exit 0.  --dir D
+       is recreated on every start (no history is reloaded); its
+       log.bin, like memory, stays bounded by the live table.
 
      esm_syncd --script FILE
        Replay a wire-protocol script: each non-empty, non-# line is
@@ -29,7 +31,6 @@
                      network, one per shard); --connect ADDR (remote
                      sessions against a --listen daemon)
          durability  --dir D  (default: memory)
-         compaction  --compact
          workload    --seed N --ops N --sessions N
        --soak runs the scenario and exits 1 on any violated invariant
        (recovery, batching, head = acked accounting, convergence,
@@ -199,7 +200,6 @@ let () =
   let require_converged = ref false in
   let shards = ref 0 in
   let gossip_every = ref 25 in
-  let do_compact = ref false in
   let specs =
     [
       ( "--listen",
@@ -240,10 +240,6 @@ let () =
       ( "--gossip-every",
         Arg.Set_int gossip_every,
         "K run one anti-entropy gossip round every K ops (default 25)" );
-      ( "--compact",
-        Arg.Set do_compact,
-        " periodically compact each store's oplog to its latest durable \
-         snapshot" );
     ]
   in
   let usage =
@@ -264,7 +260,6 @@ let () =
          else Single);
       link;
       durability = (if dir = "" then Memory else Dir dir);
-      compact = !do_compact;
       seed = !seed;
       ops = !ops;
       sessions = !sessions;
@@ -301,7 +296,7 @@ let () =
       | Ok addr ->
           Scenario.print
             (Scenario.run
-               { (spec ~dir:"" (Socket addr)) with topology = Single; compact = false })
+               { (spec ~dir:"" (Socket addr)) with topology = Single })
     else if !script <> "" then with_env_chaos (fun () -> run_script !script)
     else if !check_dir <> "" then begin
       let chaos = Lazy.force env_chaos in

@@ -106,7 +106,7 @@ val compact :
     fsynced, renamed over the old log, then the writer switched to the
     new file.  The caller must have a durable snapshot at a version
     [>= horizon] in [snapshot.bin] first, or the dropped prefix becomes
-    unrecoverable; [Store.compact] enforces that ordering.
+    unrecoverable; [Store] enforces that ordering.
 
     Atomic under crashes: a kill at any stage (tmp record writes, after
     the tmp fsync, after the rename, after the fd switch — each a tick

@@ -8,9 +8,9 @@
     only one recovery ever needs: keeping older ones would make memory
     grow with history, not with live state.
 
-    Compaction introduces a {e horizon}: the version below which
+    Compaction introduces a {e horizon}: the version at or below which
     entries have been dropped because their effects are already folded
-    into the retained snapshot at that version.  A log with horizon 0
+    into the retained snapshot.  A log with horizon 0
     retains full history and behaves exactly as before. *)
 
 type 'op entry = { version : int; session : string; op : 'op }
@@ -73,6 +73,8 @@ let read_since (t : ('op, 's) t) (v : int) :
     `Resync t.snapshot
   else `Entries (entries_since t v)
 
+let snapshot_every (t : ('op, 's) t) : int = t.snapshot_every
+
 let snapshot_due (t : ('op, 's) t) : bool =
   head_version t mod t.snapshot_every = 0
 
@@ -82,12 +84,13 @@ let record_snapshot (t : ('op, 's) t) (version : int) (state : 's) : unit =
 (** The snapshot — where a crashed store wakes up. *)
 let latest_snapshot (t : ('op, 's) t) : int * 's = t.snapshot
 
-(** Drop every entry at or below the snapshot version: the snapshot
-    becomes the new horizon — the exact prefix whose effects it already
-    reflects.  Returns the number of entries dropped (0 when the
-    snapshot is already the horizon).  Idempotent. *)
-let compact (t : ('op, 's) t) : int =
-  let v, _ = t.snapshot in
+(** Drop every entry at or below [v], which becomes the new horizon.
+    The snapshot must already reflect every dropped entry, so [v] may
+    not pass it.  Returns the number of entries dropped (0 when [v] is
+    at or below the horizon).  Idempotent. *)
+let compact (t : ('op, 's) t) (v : int) : int =
+  if v > fst t.snapshot then
+    invalid_arg "Oplog.compact: the horizon may not pass the snapshot";
   if v <= t.horizon then 0
   else begin
     let keep, dropped =
@@ -97,7 +100,3 @@ let compact (t : ('op, 's) t) : int =
     t.horizon <- v;
     List.length dropped
   end
-
-let sessions (t : ('op, 's) t) : string list =
-  List.sort_uniq String.compare
-    (List.rev_map (fun e -> e.session) t.entries)

@@ -8,9 +8,9 @@
     replays the suffix after it.  Memory is bounded by the live state
     plus the retained suffix, not by history.
 
-    {!compact} drops the prefix at or below the snapshot and
-    records its version as the {e horizon}: the effects of every
-    dropped entry are already reflected in that snapshot (the
+    {!compact} drops a prefix no newer than the snapshot and records
+    where it ends as the {e horizon}: the effects of every dropped
+    entry are already reflected in that snapshot (the
     effect-quotienting reading), so nothing observable is lost — but
     replicas whose high-water mark has fallen below the horizon can no
     longer be served a suffix and must resync from the snapshot
@@ -72,6 +72,9 @@ val read_since :
     [`Resync (version, state)] — the snapshot to restart from —
     when it has fallen below a positive horizon. *)
 
+val snapshot_every : ('op, 's) t -> int
+(** The snapshot period in commits. *)
+
 val snapshot_due : ('op, 's) t -> bool
 (** Is the head version a multiple of the snapshot period? *)
 
@@ -81,13 +84,9 @@ val record_snapshot : ('op, 's) t -> int -> 's -> unit
 val latest_snapshot : ('op, 's) t -> int * 's
 (** The snapshot — where a crashed store wakes up. *)
 
-val compact : ('op, 's) t -> int
-(** Drop every entry at or below the snapshot version; that version
-    becomes the new horizon.  Returns the number of entries dropped (0
-    when the snapshot is already the horizon — compaction is
-    idempotent).  [head_version] is
-    unchanged: compaction never loses operations, only their
-    already-applied representations. *)
-
-val sessions : ('op, 's) t -> string list
-(** The distinct session names appearing in the retained log, sorted. *)
+val compact : ('op, 's) t -> int -> int
+(** [compact t v] drops every entry at or below [v], the new horizon,
+    and returns how many it dropped (0 at or below the horizon).  [v]
+    may not pass the snapshot ([Invalid_argument]), which must reflect
+    every dropped entry.  [head_version] is unchanged: compaction never
+    loses operations, only their already-applied representations. *)

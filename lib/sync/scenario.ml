@@ -1,6 +1,6 @@
 (* The one scenario driver: build the stores and clients a spec names,
    drive the seeded workload through them, then run the accounting,
-   convergence, oracle and compaction checks that apply. *)
+   convergence, oracle and on-disk audit checks that apply. *)
 
 open Esm_core
 open Esm_relational
@@ -14,7 +14,6 @@ type spec = {
   topology : topology;
   link : link;
   durability : durability;
-  compact : bool;
   seed : int;
   ops : int;
   sessions : int;
@@ -26,6 +25,7 @@ type report = {
   violations : string list;
   removed : int;
   spanning : int;
+  horizons : int array;
 }
 type history = (int, Table.t * Table.t) Hashtbl.t
 
@@ -312,9 +312,8 @@ let audit ~vs spec dir j (v, va, vb) =
       (* an uncompacted log (horizon 0) replays from the initial state *)
       match l.Durable_log.snapshot with
       | Some (sv, _) when sv >= hz -> ()
-      | Some (sv, _) -> fail vs "%s: snapshot %d below horizon %d" who sv hz
       | None when hz = 0 -> ()
-      | None -> fail vs "%s: no snapshot behind horizon %d" who hz);
+      | _ -> fail vs "%s: no snapshot at or above horizon %d" who hz);
   match Chaos.protected (fun () -> reopen spec dir j) with
   | Error e -> fail vs "%s: reopen failed: %s" who (Error.message e)
   | Ok st ->
@@ -327,8 +326,8 @@ let audit ~vs spec dir j (v, va, vb) =
       Store.close st
 
 (* A batched commit equals its deltas committed one at a time: replay
-   the (uncompacted) oplog that way into a fresh store. *)
-let batching_check ~vs spec j (st : Wire.rstore) =
+   the store's collected history that way into a fresh store. *)
+let batching_check ~vs spec j (st : Wire.rstore) history =
   let oracle = open_store ~name:"oracle" (init_of spec j) in
   let commit session op =
     match Store.commit ~session oracle op with
@@ -343,7 +342,7 @@ let batching_check ~vs spec j (st : Wire.rstore) =
       | Store.Batch_b ds ->
           List.iter (fun d -> commit e.Oplog.session (Store.Batch_b [ d ])) ds
       | op -> commit e.Oplog.session op)
-    (Store.entries_since st 0);
+    history;
   let who = store_label spec j in
   if not (Table.equal (Store.view_a oracle) (Store.view_a st)) then
     fail vs "%s: batched A view differs from one-at-a-time oracle" who;
@@ -427,7 +426,6 @@ let drive spec : report * history array =
   let applied = ref 0 and rejected = ref 0 and unresolved = ref 0 in
   let resolved_applied = ref 0 and resolved_rejected = ref 0 in
   let read_failures = ref 0 and recoveries = ref 0 in
-  let compactions = ref 0 and compaction_errors = ref 0 in
   let committed = ref 0 and removed = ref 0 and spanning = ref 0 in
   let acked = Array.make n 0 in
   let account (j, outcome) =
@@ -456,29 +454,33 @@ let drive spec : report * history array =
       histories
   in
   record ();
+  (* the batching oracle's input: each store's entries, newest first,
+     collected as they commit.  A store keeps its last snapshot period
+     when it compacts, so a [`Resync] means entries were dropped unread. *)
+  let logs = Array.map (fun _ -> []) stores in
+  let collect () =
+    Array.iteri
+      (fun j st ->
+        let mark = match logs.(j) with e :: _ -> e.Oplog.version | [] -> 0 in
+        let es =
+          match Store.read_since st mark with
+          | `Entries es -> es
+          | `Resync (v, _) ->
+              fail vs "%s: entries %d..%d compacted away unread"
+                (store_label spec j) (mark + 1) v;
+              Store.entries_since st v
+        in
+        logs.(j) <- List.rev_append es logs.(j))
+      stores
+  in
   let crash_every = max 5 (spec.ops / 8) in
-  let compact_every = max 10 (spec.ops / 8) in
   let tick i =
     record ();
+    collect ();
     (match (group, spec.topology) with
     | Some g, Sharded { gossip_every; _ } when i mod gossip_every = 0 ->
         Shard.gossip_round g
     | _ -> ());
-    if spec.compact && i mod compact_every = 0 then
-      Array.iteri
-        (fun j st ->
-          match Store.compact st with
-          | Ok 0 -> ()
-          | Ok _ ->
-              incr compactions;
-              if Store.horizon st = 0 then
-                fail vs "op %d %s: compaction dropped entries, horizon 0" i
-                  (store_label spec j)
-          | Error _ ->
-              (* an injected fault mid-compaction: the full log is still
-                 intact (write-ahead ordering), try again later *)
-              incr compaction_errors)
-        stores;
     if i mod crash_every = 0 then
       (* recovery: crash + replay (from the snapshot horizon once
          compacted) reproduces the uncrashed store *)
@@ -573,6 +575,7 @@ let drive spec : report * history array =
   (* the net heals; everything below runs fault-free *)
   Array.iter Transport.Chaos_net.drain nets;
   record ();
+  collect ();
   vs :=
     List.rev_append
       (accounting_violations ~heads:(Array.map Store.version stores) ~acked
@@ -580,7 +583,7 @@ let drive spec : report * history array =
       !vs;
   Chaos.protected (fun () ->
       Array.iteri
-        (fun j st -> if Store.horizon st = 0 then batching_check ~vs spec j st)
+        (fun j st -> batching_check ~vs spec j st (List.rev logs.(j)))
         stores;
       Option.iter
         (fun g ->
@@ -621,35 +624,34 @@ let drive spec : report * history array =
   let heads =
     if owned then Array.map Store.version stores else [| !observed |]
   in
-  (* a last fault-free compaction, so the audit sees the tightest
-     horizon the protocol can justify *)
-  if spec.compact then
-    Chaos.protected (fun () ->
-        Array.iteri
-          (fun j st ->
-            match Store.compact st with
-            | Ok _ -> ()
-            | Error e ->
-                fail vs "%s: fault-free compaction failed: %s"
-                  (store_label spec j) (Error.message e))
-          stores);
+  (* what the stores' own policy compacted, before a last fault-free
+     compaction gives the audit the tightest horizon *)
+  let horizons = Array.map Store.horizon stores in
+  Chaos.protected (fun () ->
+      Array.iteri
+        (fun j st ->
+          match Store.compact st with
+          | Ok _ -> ()
+          | Error e ->
+              fail vs "%s: fault-free compaction failed: %s"
+                (store_label spec j) (Error.message e))
+        stores);
   let pre_close =
     Array.map (fun st -> (Store.version st, Store.view_a st, Store.view_b st)) stores
   in
   Array.iter Store.close stores;
-  (match dir with
-  | Some d when spec.compact -> Array.iteri (audit ~vs spec d) pre_close
-  | _ -> ());
+  Option.iter (fun d -> Array.iteri (audit ~vs spec d) pre_close) dir;
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
   let summary =
     Printf.sprintf
       "%s: seed=%d ops=%d sessions=%d applied=%d rejected=%d resolved=%d+%d \
        unresolved=%d deltas=%d removes=%d multi-store=%d read-failures=%d \
-       recoveries=%d compactions=%d(+%d absorbed) heads=[%s] converged=%d/%d%s"
+       recoveries=%d heads=[%s]%s converged=%d/%d%s"
       (label spec) spec.seed spec.ops spec.sessions !applied !rejected
       !resolved_applied !resolved_rejected !unresolved !committed !removed
       !spanning !read_failures
-      !recoveries !compactions !compaction_errors
-      (String.concat ";" (Array.to_list (Array.map string_of_int heads)))
+      !recoveries (ints heads)
+      (if owned then " horizons=[" ^ ints horizons ^ "]" else "")
       converged spec.sessions
       (match dir with None -> "" | Some d -> " dir=" ^ d)
   in
@@ -699,6 +701,7 @@ let drive spec : report * history array =
       violations = List.rev !vs;
       removed = !removed;
       spanning = !spanning;
+      horizons;
     },
     histories )
 
@@ -711,6 +714,7 @@ let run spec =
       violations = [ label spec ^ ": " ^ msg ];
       removed = 0;
       spanning = 0;
+      horizons = [||];
     }
 
 let check ?chaos spec =

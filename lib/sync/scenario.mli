@@ -4,9 +4,9 @@
     A scenario is the paper's entangled state under load: A-side and
     B-side sessions sharing the employees store behind the
     [where dept = "Engineering" | select id, name, dept] lens.  A {!spec}
-    picks the topology, the link the sessions reach the store over, the
-    durability and compaction; behind it sit exactly one seeded
-    workload, one accounting checker and one oracle check.
+    picks the topology, the link the sessions reach the store over and
+    the durability; behind it sit exactly one seeded workload, one
+    accounting checker and one oracle check.
 
     - {b Workload.}  [ops] rounds over [sessions] clients: a round picks
       a client, refreshes its removal pool from its view, pings every
@@ -22,13 +22,13 @@
       burst must leave its store's version and views untouched.
     - {b Store-side invariants} (in-process and chaos-net links, where
       the driver owns the stores): every [max 5 (ops/8)] rounds each
-      store crashes and recovers to the exact pre-crash views; with
-      [compact] every [max 10 (ops/8)] rounds each store drops its
-      oplog prefix below its latest snapshot; sharded stores gossip
-      every [gossip_every] rounds.  At the end a batched commit must
-      equal the same deltas committed one at a time (replayed from the
-      uncompacted oplog), and a sharded group must quiesce and converge
-      to one entangled whole.
+      store crashes and recovers to the exact pre-crash views; sharded
+      stores gossip every [gossip_every] rounds.  Each round collects
+      every store's new oplog entries ({!Store.read_since}; a [`Resync]
+      is a violation), and at the end the whole collected history,
+      replayed one delta at a time from the initial state, must equal
+      the batched store — compacted or not.  A sharded group must
+      quiesce and converge to one entangled whole.
     - {b Accounting} ({!accounting_violations}): no unresolved submit,
       and every store's head equals the commits acknowledged to it; then
       every session pulls to its store's head (over a socket, to at
@@ -36,10 +36,11 @@
     - {b Oracle} ({!oracle_violations}): a persisted run records every
       committed version's views per store; {!check} reruns the same
       scenario uncrashed and requires each reopened store to match that
-      history at its recovered version — with or without compaction.
-    - {b Compaction audit}: a persisted compacting run ends with a
-      fault-free compaction and then checks each log on disk — no record
-      at or below the horizon, at most 8 retained records, a snapshot
+      history at its recovered version, compacted or not.
+    - {b On-disk audit}: a persisted run, whose stores compact as they
+      commit, ends with a fault-free {!Store.compact} and then checks
+      each log on disk — no record at or below the horizon, at most 8
+      retained records, a snapshot
       behind the horizon — and that a reopen reaches the pre-close head.
 
     Fault injection is the caller's: run the scenario inside
@@ -70,7 +71,6 @@ type spec = {
   topology : topology;
   link : link;
   durability : durability;
-  compact : bool;
   seed : int;
   ops : int;
   sessions : int;
@@ -86,6 +86,8 @@ type report = {
   violations : string list;
   removed : int;  (** Remove deltas in fully committed bursts *)
   spanning : int;  (** bursts the router split across several stores *)
+  horizons : int array;
+      (** each owned store's horizon before the end-of-run compaction *)
 }
 
 val run : spec -> report

@@ -168,10 +168,6 @@ let gossip_until_quiescent ?(max_rounds = 64) (t : ('a, 'b, 'da, 'db) t) :
   in
   go max_rounds
 
-(** Compact every shard ({!Store.compact}); per-shard outcomes. *)
-let compact (t : ('a, 'b, 'da, 'db) t) : (int, Error.t) result array =
-  Array.map Store.compact t.stores
-
 (* ------------------------------------------------------------------ *)
 (* Relational instantiation: row routers and view-level convergence    *)
 (* ------------------------------------------------------------------ *)

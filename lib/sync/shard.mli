@@ -80,9 +80,6 @@ val gossip_until_quiescent : ?max_rounds:int -> ('a, 'b, 'da, 'db) t -> bool
     64) rounds pass without quiescing (false — under injected faults a
     round can lose edges, so callers soak with enough headroom). *)
 
-val compact : ('a, 'b, 'da, 'db) t -> (int, Error.t) result array
-(** {!Store.compact} on every shard; per-shard outcomes. *)
-
 (** The relational instantiation: row routers for
     [(Table.t, Table.t, Row_delta.t, Row_delta.t)] stores and the
     view-level convergence check. *)

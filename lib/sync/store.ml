@@ -193,7 +193,6 @@ let read_since (Store s) v =
   | `Resync (hv, st) -> `Resync (hv, s.r.bx.Concrete.get_a st)
 
 let horizon (Store s) = Oplog.horizon s.log
-let log_sessions (Store s) = Oplog.sessions s.log
 
 (* The single-op state transition; raises bx errors, which the commit
    and replay paths turn into rollback / protected retry. *)
@@ -246,7 +245,44 @@ let persist_snapshot durable r ~version st =
       Durable_log.write_snapshot w ~version
         ~payload:(codec.encode_a (r.bx.Concrete.get_a st))
 
-let commit ?expect ~(session : string) (Store s : ('a, 'b, 'da, 'db) t)
+(* ------------------------------------------------------------------ *)
+(* Snapshot-anchored compaction                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The one compaction policy: once a due snapshot is durable and the
+   retained suffix exceeds this many periods, {!commit} drops the oplog
+   through the previous period, so a reader within a period of the head
+   never has to resync. *)
+let retained_periods = 8
+
+(* Drop the oplog prefix at or below [horizon], [log.bin] first
+   (write-ahead for truncation), so a failure compacts nothing.
+   [snapshot.bin] must hold a snapshot at or above [horizon]. *)
+let drop_through (Store s : ('a, 'b, 'da, 'db) t) (horizon : int) :
+    (int, Error.t) result =
+  let* () =
+    match s.durable with
+    | None -> Ok ()
+    | Some (codec, w) ->
+        Durable_log.compact w ~horizon
+          ~entries:
+            (List.map
+               (fun (e : _ Oplog.entry) ->
+                 (e.Oplog.version, e.Oplog.session, codec.encode_op e.Oplog.op))
+               (Oplog.entries_since s.log horizon))
+  in
+  Ok (Oplog.compact s.log horizon)
+
+(* The explicit compaction: make the snapshot durable, then drop the
+   oplog prefix at or below it. *)
+let compact (Store s as st : ('a, 'b, 'da, 'db) t) : (int, Error.t) result =
+  let v, snap = Oplog.latest_snapshot s.log in
+  if v <= Oplog.horizon s.log then Ok 0
+  else
+    let* () = persist_snapshot s.durable s.r ~version:v snap in
+    drop_through st v
+
+let commit ?expect ~(session : string) (Store s as st : ('a, 'b, 'da, 'db) t)
     (op : ('a, 'b, 'da, 'db) op) : (int, Error.t) result =
   let r = s.r in
   if r.version <> Oplog.head_version s.log then
@@ -262,17 +298,19 @@ let commit ?expect ~(session : string) (Store s : ('a, 'b, 'da, 'db) t)
         (* the oplog is the conflict evidence: someone committed the
            versions between the session's base and the head *)
         let winners =
-          Oplog.entries_since s.log v
-          |> List.map (fun (e : _ Oplog.entry) -> e.Oplog.session)
-          |> List.sort_uniq String.compare
+          match Oplog.read_since s.log v with
+          | `Entries es ->
+              List.map (fun (e : _ Oplog.entry) -> e.Oplog.session) es
+              |> List.sort_uniq String.compare
+              |> String.concat ", "
+          | `Resync _ -> "sessions compacted away"
         in
         Error
           (Error.v Error.Conflict ~op:"commit"
              (Printf.sprintf
                 "session %s expected version %d but store %s is at %d \
                  (concurrent commits by: %s)"
-                session v s.name r.version
-                (String.concat ", " winners)))
+                session v s.name r.version winners))
     | _ ->
         (* transactional apply: any bx failure, including an injected
            fault at the append site, leaves the input state (states are
@@ -305,12 +343,16 @@ let commit ?expect ~(session : string) (Store s : ('a, 'b, 'da, 'db) t)
         r.version <- version;
         if Oplog.snapshot_due s.log then begin
           Oplog.record_snapshot s.log version state';
-          (* a snapshot-write failure only lengthens future replays —
-             the log holds the full history, so it is absorbed, not
-             surfaced *)
+          (* a faulted snapshot write or log rewrite leaves the full
+             log valid: absorbed, not surfaced; the next snapshot retries *)
           match persist_snapshot s.durable r ~version state' with
-          | Ok () -> ()
           | Error _ -> Chaos.note_fallback "sync.durable.write"
+          | Ok () ->
+              let every = Oplog.snapshot_every s.log in
+              if version - Oplog.horizon s.log > retained_periods * every then
+                Result.iter_error
+                  (fun _ -> Chaos.note_fallback "sync.durable.compact")
+                  (drop_through st (version - every))
         end;
         Ok version
 
@@ -332,37 +374,6 @@ let recover (Store s : ('a, 'b, 'da, 'db) t) : unit =
    with exn when Error.degradable_exn exn ->
      Chaos.note_fallback "sync.store.replay");
   List.iter (replay_entry s.r) (Oplog.entries_since s.log s.r.version)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot-anchored compaction                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Drop the oplog prefix at or below the snapshot.  On a persisted
-    store the durable side moves first (write-ahead for truncation,
-    mirroring the commit discipline): the snapshot at the anchor version
-    is made durable, then [log.bin] is rewritten with a base record and
-    the retained suffix — only after both succeed does the in-memory
-    oplog drop its prefix.  A failure at either stage (injected chaos)
-    returns the typed error with nothing compacted. *)
-let compact (Store s : ('a, 'b, 'da, 'db) t) : (int, Error.t) result =
-  let v, snap = Oplog.latest_snapshot s.log in
-  if v <= Oplog.horizon s.log then Ok 0
-  else
-    let* () = persist_snapshot s.durable s.r ~version:v snap in
-    let* () =
-      match s.durable with
-      | None -> Ok ()
-      | Some (codec, w) ->
-          Durable_log.compact w ~horizon:v
-            ~entries:
-              (List.map
-                 (fun (e : _ Oplog.entry) ->
-                   ( e.Oplog.version,
-                     e.Oplog.session,
-                     codec.encode_op e.Oplog.op ))
-                 (Oplog.entries_since s.log v))
-    in
-    Ok (Oplog.compact s.log)
 
 (* ------------------------------------------------------------------ *)
 (* Followers: detached replicas fed by gossip                           *)
@@ -439,22 +450,7 @@ let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
   let* () =
     if horizon > 0 then
       match snapshot with
-      | None ->
-          Error
-            (corrupt
-               (Printf.sprintf
-                  "log compacted below version %d but snapshot.bin is \
-                   missing or invalid: below retained horizon, cannot \
-                   recover"
-                  horizon))
-      | Some (sv, _) when sv < horizon ->
-          Error
-            (corrupt
-               (Printf.sprintf
-                  "log compacted below version %d but the snapshot is at \
-                   older version %d: below retained horizon, cannot recover"
-                  horizon sv))
-      | Some snap ->
+      | Some ((sv, _) as snap) when sv >= horizon ->
           restore snap
           |> Result.map_error
                (corrupt_of
@@ -463,6 +459,14 @@ let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
                       payload is undecodable (%s): below retained horizon, \
                       cannot recover"
                      horizon))
+      | _ ->
+          Error
+            (corrupt
+               (Printf.sprintf
+                  "log compacted below version %d but snapshot.bin is \
+                   missing, invalid or older: below retained horizon, \
+                   cannot recover"
+                  horizon))
     else
       let head = List.fold_left (fun _ (v, _, _) -> v) 0 decoded in
       (match snapshot with

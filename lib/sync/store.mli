@@ -151,23 +151,16 @@ val read_since :
     compaction horizon. *)
 
 val horizon : ('a, 'b, 'da, 'db) t -> int
-(** The oplog's compaction horizon; 0 until the first {!compact}. *)
+(** The oplog's compaction horizon: entries at or below it are gone.
+    0 until the first compaction, by {!commit}'s policy or {!compact}. *)
 
 val compact : ('a, 'b, 'da, 'db) t -> (int, Error.t) result
-(** Snapshot-anchored compaction: drop the oplog prefix at or below the
-    snapshot, returning how many entries were dropped (0 when
-    the snapshot is already the horizon).  On a persisted store the
-    durable side moves first — the anchor snapshot is written to
-    [snapshot.bin], then [log.bin] is rewritten with a base record and
-    the retained suffix ({!Durable_log.compact}, tmp + fsync + rename)
-    — and only then does the in-memory oplog drop its prefix, so a
-    failure at either stage (an injected fault at ["sync.durable.write"]
-    or ["sync.durable.compact"]) leaves the full history intact and
-    returns the typed error.  {!head_version} and every view are unchanged:
-    compaction drops representations whose effects the snapshot already
-    reflects, never operations. *)
-
-val log_sessions : ('a, 'b, 'da, 'db) t -> string list
+(** Compact now ({!commit} compacts on its own policy): drop the oplog
+    prefix at or below the snapshot, returning how many entries were
+    dropped.  A persisted store writes [snapshot.bin], then rewrites
+    [log.bin] ({!Durable_log.compact}), then drops the in-memory prefix;
+    a failure at either stage leaves the full history intact and
+    returns the typed error.  Heads and views are unchanged. *)
 
 val commit :
   ?expect:int ->
@@ -177,12 +170,19 @@ val commit :
   (int, Error.t) result
 (** Commit one operation, returning the new version.  [?expect] is the
     optimistic version check: if another session committed since, the
-    result is an [Error.Conflict] naming the winners and nothing is
-    applied.  The application itself runs under
+    result is an [Error.Conflict] naming the winners (or saying they
+    were compacted away, when [?expect] is below the horizon) and
+    nothing is applied.  The application itself runs under
     {!Esm_core.Atomic.attempt} — a failing update rolls back and appends
     nothing.  A crashed store
     ({!version} behind {!head_version}) refuses commits until
-    {!recover}. *)
+    {!recover}.
+
+    A commit on the snapshot period records the snapshot; once it is
+    durable and the retained suffix exceeds eight periods, the oplog
+    is compacted through the previous period, bounding every store by
+    its live state.  A faulted snapshot or rewrite is absorbed and the
+    next snapshot retries. *)
 
 val crash : ('a, 'b, 'da, 'db) t -> unit
 (** Simulate a crash: volatile state resets to the oplog's snapshot;

@@ -173,7 +173,7 @@ let oplog_tests =
           ignore (Oplog.append l ~session:"a" (10 * i))
         done;
         Oplog.record_snapshot l 8 "s8";
-        check Alcotest.int "dropped" 8 (Oplog.compact l);
+        check Alcotest.int "dropped" 8 (Oplog.compact l 8);
         check Alcotest.int "horizon" 8 (Oplog.horizon l);
         check Alcotest.int "head unchanged" 10 (Oplog.head_version l);
         check Alcotest.int "retained" 2 (Oplog.length l);
@@ -189,7 +189,10 @@ let oplog_tests =
         (match Oplog.read_since l 2 with
         | `Resync (8, "s8") -> ()
         | _ -> Alcotest.fail "resync from the compaction snapshot");
-        check Alcotest.int "idempotent" 0 (Oplog.compact l);
+        check Alcotest.int "idempotent" 0 (Oplog.compact l 8);
+        (match Oplog.compact l 9 with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "a horizon past the snapshot must be refused");
         check Alcotest.int "head still" 10 (Oplog.head_version l));
     test "compact with no post-snapshot entries leaves head = horizon"
       `Quick (fun () ->
@@ -198,7 +201,7 @@ let oplog_tests =
           ignore (Oplog.append l ~session:"a" i)
         done;
         Oplog.record_snapshot l 8 "s8";
-        check Alcotest.int "dropped" 8 (Oplog.compact l);
+        check Alcotest.int "dropped" 8 (Oplog.compact l 8);
         check Alcotest.int "empty head = horizon" 8 (Oplog.head_version l);
         check Alcotest.int "since head" 0
           (List.length (Oplog.entries_since l 8));
@@ -601,9 +604,11 @@ let chaos_matrix_prop ~shards ~seed () =
         if i mod 15 = 0 then Shard.gossip_round g;
         if i mod 30 = 0 then
           Array.iter
-            (function
-              | Ok _ -> () | Error _ -> (* absorbed, retried later *) ())
-            (Shard.compact g);
+            (fun st ->
+              match Store.compact st with
+              | Ok _ -> ()
+              | Error _ -> (* absorbed, retried later *) ())
+            stores;
         if i mod 40 = 0 then
           Array.iter
             (fun st ->

@@ -3,13 +3,18 @@
     - {!Esm_sync.Oplog}: dense versioning, suffix reads, snapshots;
     - {!Esm_sync.Store}: transactional commits (a failing update
       appends nothing), optimistic conflicts, batched delta bursts as
-      one oplog record, crash + replay recovery, memory bounded by
-      live state rather than snapshot history;
+      one oplog record, crash + replay recovery, memory and oplog
+      bounded by live state rather than by snapshot or commit history
+      (the store's own compaction policy), a stale optimistic check
+      below the compaction horizon answered with [Conflict];
     - {!Esm_sync.Session}: side enforcement, pull/rebase;
     - {!Esm_sync.Wire}: codec roundtrips and the in-process server;
     - chaos properties: recovery reproduces the uncrashed store, a
       batched commit equals one-at-a-time commits, and sessions
-      converge under fixed fault seeds.
+      converge under fixed fault seeds;
+    - a single-store kill sweep: a persisted soak killed at every
+      durable-write tick, its automatic compaction included, recovers
+      to a version the uncrashed oracle committed.
 
     Like the chaos suite, the base seed comes from [CHAOS_SEED] when
     set, and each property case derives its own instance seed. *)
@@ -71,14 +76,12 @@ let oplog_tests =
         let v3 = Oplog.append log ~session:"x" "op3" in
         check Alcotest.(list int) "dense" [ 1; 2; 3 ] [ v1; v2; v3 ];
         check
-          Alcotest.(list string)
-          "suffix oldest first" [ "op2"; "op3" ]
+          Alcotest.(list (pair string string))
+          "suffix oldest first"
+          [ ("y", "op2"); ("x", "op3") ]
           (List.map
-             (fun (e : _ Oplog.entry) -> e.Oplog.op)
-             (Oplog.entries_since log 1));
-        check
-          Alcotest.(list string)
-          "sessions sorted" [ "x"; "y" ] (Oplog.sessions log));
+             (fun (e : _ Oplog.entry) -> (e.Oplog.session, e.Oplog.op))
+             (Oplog.entries_since log 1)));
     test "snapshots seed at version 0 and record on period" `Quick (fun () ->
         let log = Oplog.create ~snapshot_every:2 ~init:"s0" () in
         check Alcotest.(pair int string) "seed" (0, "s0")
@@ -99,6 +102,21 @@ let oplog_tests =
 (* ------------------------------------------------------------------ *)
 (* Store: commits, conflicts, transactionality                         *)
 (* ------------------------------------------------------------------ *)
+
+(* An employees burst that adds a fresh row and removes it again: the
+   live table never changes, so anything that grows is history. *)
+let net_zero_burst i =
+  let row =
+    Rel.Row.of_list
+      [
+        Rel.Value.Int (100_000 + i);
+        Rel.Value.Str "tmp";
+        Rel.Value.Str "Sales";
+        Rel.Value.Int 50_000;
+        Rel.Value.Str "tmp@example.com";
+      ]
+  in
+  Store.Batch_a [ Rel.Row_delta.Add row; Rel.Row_delta.Remove row ]
 
 let store_tests =
   [
@@ -272,6 +290,50 @@ let store_tests =
         in
         if ratio >= 2.0 then
           Alcotest.failf "store holds %.1fx its A view" ratio);
+    test "a stale expect below the horizon is a typed Conflict" `Quick
+      (fun () ->
+        let store = make_store () in
+        for i = 1 to 16 do
+          match
+            Store.commit ~session:"b1" store
+              (Store.Batch_b [ Rel.Row_delta.Add (view_row (9000 + i) "r") ])
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "commit %d failed: %s" i (Error.message e)
+        done;
+        (match Store.compact store with
+        | Ok n -> check Alcotest.int "dropped the prefix" 16 n
+        | Error e -> Alcotest.failf "compact: %s" (Error.message e));
+        let res =
+          Store.commit ~expect:3 ~session:"b2" store
+            (Store.Batch_b [ Rel.Row_delta.Add (view_row 9999 "late") ])
+        in
+        check Alcotest.bool "Conflict kind" true
+          (kind_of res = Some Error.Conflict);
+        check Alcotest.int "nothing applied" 16 (Store.version store));
+    test "memory and oplog are bounded by live state, not by history" `Quick
+      (fun () ->
+        let store = Scenario.store ~seed:5 ~size:48 () in
+        (* the store's policy: compact once the retained suffix exceeds
+           8 snapshot periods (Scenario.store snapshots every 8) *)
+        let bound = (8 * 8) + 8 in
+        let words x = Obj.reachable_words (Obj.repr x) in
+        let at_2k = ref 0 in
+        for i = 1 to 10_000 do
+          (match Store.commit ~session:"a1" store (net_zero_burst i) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "commit %d failed: %s" i (Error.message e));
+          let suffix = Store.head_version store - Store.horizon store in
+          if suffix > bound then
+            Alcotest.failf "commit %d: %d entries retained (bound %d)" i suffix
+              bound;
+          if i = 2_000 then at_2k := words store
+        done;
+        check Alcotest.int "size constant" 48
+          (Rel.Table.cardinality (Store.view_a store));
+        let ratio = float_of_int (words store) /. float_of_int !at_2k in
+        if ratio >= 1.5 then
+          Alcotest.failf "store grew %.2fx from 2k to 10k commits" ratio);
     test "replicated pedigree preserves the base law level" `Quick (fun () ->
         let store = make_store () in
         (match Store.pedigree store with
@@ -434,9 +496,8 @@ let wire_unit_tests =
 (* ------------------------------------------------------------------ *)
 
 let scenario ?(topology = Scenario.Single) ?(link = Scenario.In_process)
-    ?(durability = Scenario.Memory) ?(compact = false) ~seed ~ops ~sessions ()
-    =
-  { Scenario.topology; link; durability; compact; seed; ops; sessions }
+    ?(durability = Scenario.Memory) ~seed ~ops ~sessions () =
+  { Scenario.topology; link; durability; seed; ops; sessions }
 
 let no_violations (r : Scenario.report) =
   match r.Scenario.violations with
@@ -500,24 +561,40 @@ let convergence_tests = [ convergence_case 1; convergence_case 20140328 ]
 let with_run_dir f =
   Test_durable_log.with_tmp_dir (fun root -> f (Filename.concat root "run"))
 
+(* A clean run in which every owned store compacted on its own before
+   the end-of-run compaction. *)
+let check_clean_self_compacted (r : Scenario.report) =
+  check_clean r;
+  Array.iteri
+    (fun j h -> if h = 0 then Alcotest.failf "store %d never compacted itself" j)
+    r.Scenario.horizons
+
+(* Persisted runs commit past version 80 on every store (a sharded
+   store sees about a quarter to a third of the bursts), so each store
+   compacts itself under chaos, crashes and gossip. *)
+let persisted_ops = function Scenario.Single -> 120 | Scenario.Sharded _ -> 480
+
 (* Every topology x link x durability at toy size under chaos: zero
-   violations.  Persisted runs compact, so the on-disk audit runs too. *)
+   violations.  Persisted runs are long enough for every store to
+   compact itself, and the on-disk audit runs after them. *)
 let matrix_case (tname, topology) (lname, link) persisted =
   test
     (Printf.sprintf "scenario %s / %s / %s is clean" tname lname
        (if persisted then "dir+compact" else "memory"))
     `Quick
     (fun () ->
-      let go durability =
+      let go durability ops =
         let c = case_chaos ~rate:0.05 () in
-        check_clean
-          (Chaos.with_chaos c (fun () ->
-               Scenario.run
-                 (scenario ~topology ~link ~durability ~compact:persisted
-                    ~seed:chaos_seed ~ops:40 ~sessions:4 ())))
+        Chaos.with_chaos c (fun () ->
+            Scenario.run
+              (scenario ~topology ~link ~durability ~seed:chaos_seed ~ops
+                 ~sessions:4 ()))
       in
-      if persisted then with_run_dir (fun d -> go (Scenario.Dir d))
-      else go Scenario.Memory)
+      if persisted then
+        with_run_dir (fun d ->
+            check_clean_self_compacted
+              (go (Scenario.Dir d) (persisted_ops topology)))
+      else check_clean (go Scenario.Memory 40))
 
 let matrix_tests =
   List.concat_map
@@ -538,11 +615,13 @@ let checker_tests =
           (fun topology ->
             with_run_dir (fun d ->
                 let spec =
-                  scenario ~topology ~durability:(Scenario.Dir d) ~compact:true
-                    ~seed:chaos_seed ~ops:30 ~sessions:3 ()
+                  scenario ~topology ~durability:(Scenario.Dir d)
+                    ~seed:chaos_seed ~ops:(persisted_ops topology)
+                    ~sessions:3 ()
                 in
                 let chaos () = Chaos.make ~rate:0.05 ~seed:chaos_seed () in
-                check_clean (Chaos.with_chaos (chaos ()) (fun () -> Scenario.run spec));
+                check_clean_self_compacted
+                  (Chaos.with_chaos (chaos ()) (fun () -> Scenario.run spec));
                 check_clean (Scenario.check ~chaos:(chaos ()) spec)))
           [ Scenario.Single; Scenario.Sharded { shards = 2; gossip_every = 4 } ]);
     (* the properties above are only as strong as the bursts they see *)
@@ -593,7 +672,129 @@ let checker_tests =
           (List.length (Scenario.oracle_violations history ~store:"s" (3, va, vb))));
   ]
 
+exception Killed
+
+(* Kill a persisted single-store soak at every durable-write tick: both
+   halves of each entry record, the periodic snapshots, the automatic
+   compaction's log rewrite (tmp records, fsync, rename, fd switch) and
+   the end-of-run compaction.  Each torn directory must reopen to a
+   version the uncrashed oracle rerun committed, with the same views. *)
+let kill_sweep_test () =
+  with_run_dir (fun d ->
+      (* 80 rounds commit past version 72, where the retained suffix
+         first exceeds eight snapshot periods *)
+      let spec =
+        scenario ~durability:(Scenario.Dir d) ~seed:chaos_seed ~ops:80
+          ~sessions:4 ()
+      in
+      let before = Durable_log.writes_performed () in
+      check_clean (Scenario.run spec);
+      let ticks = Durable_log.writes_performed () - before in
+      let head = ref 0 and auto = ref 0 in
+      (match Durable_log.load ~dir:d with
+      | Ok l ->
+          head :=
+            List.fold_left
+              (fun _ (e : Durable_log.raw_entry) -> e.Durable_log.version)
+              l.Durable_log.horizon l.Durable_log.entries
+      | Error e -> Alcotest.failf "load: %s" (Error.message e));
+      for k = 1 to ticks do
+        Durable_log.set_kill_at ~exit:(fun () -> raise Killed) (Some k);
+        (match Scenario.run spec with
+        | _ -> Alcotest.failf "kill at tick %d of %d did not fire" k ticks
+        | exception Killed -> ()
+        | exception e ->
+            Durable_log.set_kill_at None;
+            raise e);
+        Durable_log.set_kill_at None;
+        (* a compacted log behind the final head: the commit path
+           compacted on its own, before the end-of-run compaction *)
+        (match Durable_log.load ~dir:d with
+        | Ok l
+          when l.Durable_log.horizon > 0
+               && List.exists
+                    (fun (e : Durable_log.raw_entry) ->
+                      e.Durable_log.version < !head)
+                    l.Durable_log.entries ->
+            incr auto
+        | _ -> ());
+        match (Scenario.check spec).Scenario.violations with
+        | [] -> ()
+        | vs -> Alcotest.failf "kill at tick %d: %s" k (String.concat "; " vs)
+      done;
+      check Alcotest.bool "the sweep crosses an automatic compaction" true
+        (!auto > 0))
+
+(* The policy's fault arms, on a persisted store: a faulted log rewrite
+   and a faulted snapshot write are absorbed (the commit succeeds and the
+   full log stays valid on disk), and the next snapshot compacts. *)
+let absorbed_faults_test () =
+  with_run_dir (fun d ->
+      let store = Scenario.store ~dir:d ~seed:5 ~size:48 () in
+      let commit_ok i =
+        match Store.commit ~session:"a1" store (net_zero_burst i) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "commit %d failed: %s" i (Error.message e)
+      in
+      let on_disk () =
+        match Durable_log.load ~dir:d with
+        | Ok l -> (l.Durable_log.horizon, List.length l.Durable_log.entries)
+        | Error e -> Alcotest.failf "load: %s" (Error.message e)
+      in
+      (* every rewrite faults: versions 72 and 80 are both due *)
+      let c = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
+      Chaos.with_chaos c (fun () ->
+          Chaos.at_sites [ "sync.durable.compact" ] (fun () ->
+              for i = 1 to 80 do
+                commit_ok i
+              done));
+      check Alcotest.int "rewrites faulted" 2 (Chaos.injected c);
+      check Alcotest.int "and absorbed" 2 (Chaos.fallbacks c);
+      check Alcotest.int "nothing compacted" 0 (Store.horizon store);
+      check Alcotest.(pair int int) "the full log on disk" (0, 80) (on_disk ());
+      check Alcotest.bool "no rewrite left behind" false
+        (Sys.file_exists (Filename.concat d "log.bin.tmp"));
+      for i = 81 to 88 do
+        commit_ok i
+      done;
+      check Alcotest.int "the next snapshot compacts" 80 (Store.horizon store);
+      check Alcotest.(pair int int) "compacted on disk" (80, 8) (on_disk ());
+      (* half the snapshot writes fault (a faulted append aborts its
+         commit, which the loop retries) until a due compaction's
+         snapshot write failed *)
+      let c = Chaos.make ~rate:0.5 ~seed:chaos_seed () in
+      let missed = ref 0 and i = ref 88 in
+      Chaos.with_chaos c (fun () ->
+          Chaos.at_sites [ "sync.durable.write" ] (fun () ->
+              while !missed = 0 && !i < 2_000 do
+                let h = Store.horizon store in
+                match
+                  Store.commit ~session:"a1" store (net_zero_burst (!i + 1))
+                with
+                | Error _ -> ()
+                | Ok v ->
+                    incr i;
+                    if v mod 8 = 0 && v - h > 64 && Store.horizon store = h
+                    then missed := v
+              done));
+      if !missed = 0 then Alcotest.fail "no due snapshot write faulted";
+      for i = !i + 1 to !i + 8 do
+        commit_ok i
+      done;
+      check Alcotest.int "the next snapshot compacts" !missed (Store.horizon store);
+      check Alcotest.(pair int int) "compacted on disk" (!missed, 8) (on_disk ());
+      Store.close store)
+
+let kill_sweep_tests =
+  [
+    test "single-store kill sweep: every durable-write tick recovers" `Quick
+      kill_sweep_test;
+    test "a faulted snapshot or log rewrite is absorbed, the next snapshot \
+          compacts"
+      `Quick absorbed_faults_test;
+  ]
+
 let suite =
   oplog_tests @ store_tests @ session_tests @ wire_unit_tests
-  @ convergence_tests @ matrix_tests @ checker_tests
+  @ convergence_tests @ matrix_tests @ checker_tests @ kill_sweep_tests
   @ Helpers.q (wire_property_tests @ chaos_property_tests)

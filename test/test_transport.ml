@@ -670,7 +670,6 @@ let chaos_soak_case seed =
                     Esm_sync.Scenario.topology = Single;
                     link = Chaos_net;
                     durability = Memory;
-                    compact = false;
                     seed;
                     ops = 60;
                     sessions = 4;

@@ -9,9 +9,11 @@
        on a Unix-domain ("unix:PATH") or TCP ("HOST:PORT", ":PORT")
        socket, multiplexing every connection over one select loop.
        SIGTERM/SIGINT request a clean drain: stop accepting, flush
-       queued responses, print the transport stats, exit 0.  --dir D
-       is recreated on every start (no history is reloaded); its
-       log.bin, like memory, stays bounded by the live table.
+       queued responses, print the transport counters, exit 0.  --dir D
+       persists the store: a restart on a D that holds a log.bin
+       resumes it at its committed head, a new or empty D starts a
+       fresh log; log.bin, like memory, stays bounded by the live
+       table.
 
      esm_syncd --script FILE
        Replay a wire-protocol script: each non-empty, non-# line is
@@ -43,9 +45,8 @@
        --connect exits 1 unless every submit had a definite outcome
        and every session reached the head.  --require-poll-hits fails
        a soak whose unchanged-store polls never short-circuited;
-       convergence is always required (--require-converged is
-       accepted for existing command lines).  docs/SYNC.md §4 lists
-       the checks.
+       convergence is always required.  docs/SYNC.md §4 lists the
+       checks.
 
    The soaks, checks and scripts honour CHAOS_SEED (and optional
    CHAOS_RATE in [0, 1]): fault injection at every chaos site, with the
@@ -138,12 +139,20 @@ let run_script (path : string) : int =
 (* ------------------------------------------------------------------ *)
 
 let run_listen ?dir (addr_s : string) : int =
-  match Transport.addr_of_string addr_s with
+  let ( let* ) = Result.bind in
+  match
+    let* addr = Transport.addr_of_string addr_s in
+    let* store =
+      match dir with
+      | None -> Ok (Scenario.store ~seed:11 ~size:48 ())
+      | Some dir -> Scenario.resume ~dir ~seed:11 ~size:48 ()
+    in
+    Ok (addr, store)
+  with
   | Error e ->
       Printf.eprintf "esm_syncd: %s\n" (Error.message e);
       2
-  | Ok addr ->
-      let store = Scenario.store ?dir ~seed:11 ~size:48 () in
+  | Ok (addr, store) ->
       let srv = Transport.Server.listen addr (Wire.serve store) in
       Printf.printf "esm_syncd: listening on %s\n%!"
         (Transport.string_of_addr (Transport.Server.addr srv));
@@ -151,12 +160,13 @@ let run_listen ?dir (addr_s : string) : int =
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Transport.Server.run srv;
-      let st = Transport.Core.stats (Transport.Server.core srv) in
+      let count = Esm_incr.Stats.get in
       Printf.printf
         "esm_syncd: drained and stopped (requests=%d executed=%d \
          dedup-hits=%d stale=%d overloads=%d reaped=%d head=%d)\n%!"
-        st.Transport.Core.requests st.executed st.dedup_hits st.stale
-        st.overloads st.reaped (Store.version store);
+        (count "core.requests") (count "core.executed")
+        (count "core.dedup_hits") (count "core.stale") (count "core.overloads")
+        (count "core.reaped") (Store.version store);
       Store.close store;
       0
 
@@ -197,7 +207,6 @@ let () =
   let listen = ref "" in
   let connect = ref "" in
   let chaos_net = ref false in
-  let require_converged = ref false in
   let shards = ref 0 in
   let gossip_every = ref 25 in
   let specs =
@@ -211,10 +220,6 @@ let () =
       ( "--chaos-net",
         Arg.Set chaos_net,
         " with --soak: run the workload through the chaos network" );
-      ( "--require-converged",
-        Arg.Set require_converged,
-        " with --chaos-net: exit 1 unless every session reaches the head \
-         (always checked)" );
       ("--script", Arg.Set_string script, "FILE replay a wire-protocol script");
       ("--soak", Arg.Set do_soak, " run the random multi-session soak");
       ("--seed", Arg.Set_int seed, "N soak workload seed (default 42)");

@@ -1,28 +1,34 @@
-(* Named hit/miss counters; see stats.mli. *)
+(* The process-wide counter registry; see stats.mli. *)
 
-type counter = { mutable hits : int; mutable misses : int }
+type counter = int ref
 
-let table : (string, counter) Hashtbl.t = Hashtbl.create 16
+let table : (string, counter) Hashtbl.t = Hashtbl.create 64
 
 let counter (name : string) : counter =
   match Hashtbl.find_opt table name with
   | Some c -> c
   | None ->
-      let c = { hits = 0; misses = 0 } in
+      let c = ref 0 in
       Hashtbl.replace table name c;
       c
 
-let hit name =
-  let c = counter name in
-  c.hits <- c.hits + 1
+let bump (c : counter) = incr c
+let add (c : counter) n = c := !c + n
 
-let miss name =
-  let c = counter name in
-  c.misses <- c.misses + 1
+let get name =
+  match Hashtbl.find_opt table name with None -> 0 | Some c -> !c
 
-let counts name =
-  match Hashtbl.find_opt table name with
-  | None -> (0, 0)
-  | Some c -> (c.hits, c.misses)
+let since () =
+  let base = Hashtbl.create (Hashtbl.length table) in
+  Hashtbl.iter (fun name c -> Hashtbl.replace base name !c) table;
+  fun name -> get name - Option.value (Hashtbl.find_opt base name) ~default:0
 
-let reset () = Hashtbl.reset table
+type memo = { hits : counter; misses : counter }
+
+let memo name = { hits = counter (name ^ ".hit"); misses = counter (name ^ ".miss") }
+let hit m = bump m.hits
+let miss m = bump m.misses
+let counts name = (get (name ^ ".hit"), get (name ^ ".miss"))
+
+(* zero in place: cells resolved at module initialisation stay live *)
+let reset () = Hashtbl.iter (fun _ c -> c := 0) table

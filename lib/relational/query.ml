@@ -440,6 +440,7 @@ let plan_cache : (string * string * string, Rlens.dlens) Hashtbl.t =
 let plan_cache_bound = 512
 
 let clear_plan_cache () = Hashtbl.reset plan_cache
+let plan_memo = Esm_incr.Stats.memo "query.plan"
 
 (** {!to_dlens_uncached} through the plan cache, keyed by the printed
     query, the schema, and the key columns.  Reports to the
@@ -449,10 +450,10 @@ let to_dlens ~(schema : Schema.t) ~(key : string list) (q : t) : Rlens.dlens =
   let k = (to_string q, Schema.to_string schema, String.concat "," key) in
   match Hashtbl.find_opt plan_cache k with
   | Some dl ->
-      Esm_incr.Stats.hit "query.plan";
+      Esm_incr.Stats.hit plan_memo;
       dl
   | None ->
-      Esm_incr.Stats.miss "query.plan";
+      Esm_incr.Stats.miss plan_memo;
       let dl = to_dlens_uncached ~schema ~key q in
       if Hashtbl.length plan_cache >= plan_cache_bound then
         Hashtbl.reset plan_cache;

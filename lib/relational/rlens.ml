@@ -326,6 +326,8 @@ let put_delta (l : dlens) (source : Table.t) (deltas : Row_delta.t list) :
           let view = Lens.get l.lens source in
           Lens.put l.lens source (Row_delta.apply_all view deltas))
 
+let view_memo = Esm_incr.Stats.memo "rlens.view"
+
 (** Memoized view materialization: [get] through the pipeline's lens,
     short-circuited when the source is the table the cached view was
     computed from.  The O(1) fast path is the physical witness
@@ -342,7 +344,7 @@ let get_memo (l : dlens) (source : Table.t) : Table.t =
   in
   match l.view_cache with
   | Some (src, view) when src == source ->
-      Esm_incr.Stats.hit "rlens.view";
+      Esm_incr.Stats.hit view_memo;
       view
   | Some (src, view) -> (
       match
@@ -350,19 +352,19 @@ let get_memo (l : dlens) (source : Table.t) : Table.t =
         Table.hash src = Table.hash source && Table.equal src source
       with
       | true ->
-          Esm_incr.Stats.hit "rlens.view";
+          Esm_incr.Stats.hit view_memo;
           (* refresh the witness so the next read is the O(1) path *)
           l.view_cache <- Some (source, view);
           view
       | false ->
-          Esm_incr.Stats.miss "rlens.view";
+          Esm_incr.Stats.miss view_memo;
           recompute ()
       | exception exn when Esm_core.Error.degradable_exn exn ->
           Esm_core.Chaos.note_fallback Esm_core.Shash.site;
-          Esm_incr.Stats.miss "rlens.view";
+          Esm_incr.Stats.miss view_memo;
           Esm_core.Chaos.protected recompute)
   | None ->
-      Esm_incr.Stats.miss "rlens.view";
+      Esm_incr.Stats.miss view_memo;
       recompute ()
 
 (** The identity dlens (a pipeline's base table). *)
@@ -467,44 +469,30 @@ let dcompose (outer : dlens) (inner : dlens) : dlens =
   }
 
 (** Pack a delta pipeline as a pedigreed entangled state monad: the A
-    side is the source table, the B side the view.  With [delta] (the
-    default), [set_b] actually executes the incremental path — the new
-    view is diffed against the current one and pushed through
-    {!put_delta} — and the pedigree records {!Esm_core.Pedigree.Delta_of}
-    over the combinator pipeline; with [~delta:false] the plain full-put
-    lens is packed under the pipeline pedigree. *)
-let packed_of_dlens ?(delta = true) ~(init : Table.t) (dl : dlens) :
+    side is the source table, the B side the view.  [set_b] executes the
+    incremental path — the new view is diffed against the current one
+    and pushed through {!put_delta} — and the pedigree records
+    {!Esm_core.Pedigree.Delta_of} over the combinator pipeline. *)
+let packed_of_dlens ~(init : Table.t) (dl : dlens) :
     (Table.t, Table.t) Esm_core.Concrete.packed =
   let module C = Esm_core.Concrete in
-  let base = C.of_lens dl.lens in
-  let bx =
-    if not delta then base
-    else
-      {
-        base with
-        C.set_b =
-          (fun view source ->
-            let cur = Lens.get dl.lens source in
-            (* removals precede additions, as in [Dml.delta] *)
-            let removes =
-              Table.fold
-                (fun acc r ->
-                  if Table.mem view r then acc else Row_delta.Remove r :: acc)
-                [] cur
-            in
-            let adds =
-              Table.fold
-                (fun acc r ->
-                  if Table.mem cur r then acc else Row_delta.Add r :: acc)
-                [] view
-            in
-            put_delta dl source (List.rev_append removes (List.rev adds)));
-      }
+  let set_b view source =
+    let cur = Lens.get dl.lens source in
+    (* removals precede additions, as in [Dml.delta] *)
+    let removes =
+      Table.fold
+        (fun acc r -> if Table.mem view r then acc else Row_delta.Remove r :: acc)
+        [] cur
+    in
+    let adds =
+      Table.fold
+        (fun acc r -> if Table.mem cur r then acc else Row_delta.Add r :: acc)
+        [] view
+    in
+    put_delta dl source (List.rev_append removes (List.rev adds))
   in
-  C.pack_pedigreed
-    ~pedigree:
-      (if delta then Esm_core.Pedigree.Delta_of dl.pedigree else dl.pedigree)
-    ~bx ~init ~eq_state:Table.equal
+  C.pack_pedigreed ~pedigree:(Esm_core.Pedigree.Delta_of dl.pedigree)
+    ~bx:{ (C.of_lens dl.lens) with C.set_b } ~init ~eq_state:Table.equal
 
 (* ------------------------------------------------------------------ *)
 (* Delta join                                                          *)

@@ -127,12 +127,11 @@ val dcompose : dlens -> dlens -> dlens
     {!Esm_core.Pedigree.Dcompose} (identity bases are flattened away). *)
 
 val packed_of_dlens :
-  ?delta:bool -> init:Table.t -> dlens -> (Table.t, Table.t) Esm_core.Concrete.packed
+  init:Table.t -> dlens -> (Table.t, Table.t) Esm_core.Concrete.packed
 (** Pack the pipeline as a pedigreed entangled state monad (A = source
-    table, B = view).  With [delta] (default), [set_b] diffs the new
-    view against the current one and runs {!put_delta} — the packed
-    pedigree is [Delta_of] the pipeline's; with [~delta:false] the plain
-    full-put lens is packed. *)
+    table, B = view): [set_b] diffs the new view against the current one
+    and runs {!put_delta}, and the packed pedigree is [Delta_of] the
+    pipeline's. *)
 
 (** {1 Delta join}
 

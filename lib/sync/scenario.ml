@@ -60,8 +60,17 @@ let open_store ?dir ~name init : Wire.rstore =
   Store.of_packed ~name ~snapshot_every ~apply_da:Row_delta.apply_all
     ~apply_db:Row_delta.apply_all ?persist (packed init)
 
+let reopen_store ~name ~dir init =
+  Store.reopen ~name ~snapshot_every ~apply_da:Row_delta.apply_all
+    ~apply_db:Row_delta.apply_all ~codec ~dir (packed init)
+
 let store ?dir ~seed ~size () =
   open_store ?dir ~name:"employees" (Workload.employees ~seed ~size)
+
+let resume ~dir ~seed ~size () =
+  if Sys.file_exists (Durable_log.log_file dir) then
+    reopen_store ~name:"employees" ~dir (Workload.employees ~seed ~size)
+  else Ok (store ~dir ~seed ~size ())
 
 let shards spec =
   match spec.topology with Single -> 1 | Sharded { shards; _ } -> shards
@@ -98,10 +107,8 @@ let store_dir spec dir i =
   | Sharded _ -> Filename.concat dir (Printf.sprintf "shard-%d" i)
 
 let reopen spec dir i =
-  Store.reopen ~name:(store_name spec i) ~snapshot_every
-    ~apply_da:Row_delta.apply_all ~apply_db:Row_delta.apply_all ~codec
-    ~dir:(store_dir spec dir i)
-    (packed (init_of spec i))
+  reopen_store ~name:(store_name spec i) ~dir:(store_dir spec dir i)
+    (init_of spec i)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -352,6 +359,8 @@ let batching_check ~vs spec j (st : Wire.rstore) history =
 let drive spec : report * history array =
   if spec.sessions < 1 || spec.ops < 0 then
     invalid_arg "Scenario.run: sessions must be >= 1 and ops >= 0";
+  (* the report's counts are this run's: the registry is process-wide *)
+  let count = Esm_incr.Stats.since () in
   let vs = ref [] in
   let n = shards spec in
   let dir = match spec.durability with Dir d -> Some d | Memory -> None in
@@ -658,42 +667,47 @@ let drive spec : report * history array =
   let poll =
     (* the caches must be exercised, not bypassed: --require-poll-hits
        gates on the session.poll hits counted here *)
-    let rate h m = if h + m = 0 then 0.0 else 100.0 *. float h /. float (h + m) in
-    let ph, pm = Esm_incr.Stats.counts "session.poll" in
-    let vh, vm = Esm_incr.Stats.counts "store.view" in
-    Printf.sprintf
-      "poll: hits=%d misses=%d hit-rate=%.1f%%  store-view: hits=%d misses=%d \
-       hit-rate=%.1f%%"
-      ph pm (rate ph pm) vh vm (rate vh vm)
+    let memo name =
+      let h = count (name ^ ".hit") and m = count (name ^ ".miss") in
+      Printf.sprintf "hits=%d misses=%d hit-rate=%.1f%%" h m
+        (if h + m = 0 then 0.0 else 100.0 *. float h /. float (h + m))
+    in
+    Printf.sprintf "poll: %s  store-view: %s" (memo "session.poll")
+      (memo "store.view")
   in
-  let net () =
-    let sum f = Array.fold_left (fun k net -> k + f net) 0 nets in
-    let ns f = sum (fun net -> f (Transport.Chaos_net.stats net)) in
-    let cs f = sum (fun net -> f (Transport.Core.stats (Transport.Chaos_net.core net))) in
-    Transport.Chaos_net.(
-      Printf.sprintf
-        "net: dropped=%d duped=%d reordered=%d truncated=%d delayed=%d \
-         halfopen=%d  core: requests=%d executed=%d dedup-hits=%d stale=%d \
-         overloads=%d"
-        (ns (fun s -> s.dropped)) (ns (fun s -> s.duped))
-        (ns (fun s -> s.reordered)) (ns (fun s -> s.truncated))
-        (ns (fun s -> s.delayed)) (ns (fun s -> s.half_opened))
-        (cs (fun s -> s.Transport.Core.requests))
-        (cs (fun s -> s.Transport.Core.executed))
-        (cs (fun s -> s.Transport.Core.dedup_hits))
-        (cs (fun s -> s.Transport.Core.stale))
-        (cs (fun s -> s.Transport.Core.overloads)))
+  let counted label names =
+    label ^ ": "
+    ^ String.concat " "
+        (List.map (fun (key, name) -> Printf.sprintf "%s=%d" key (count name))
+           names)
   in
-  let gossip g =
-    let s = Shard.stats g in
-    Printf.sprintf "gossip: rounds=%d shipped=%d resyncs=%d skipped-edges=%d"
-      s.Shard.rounds s.Shard.shipped s.Shard.resyncs s.Shard.skipped_edges
+  let net =
+    counted "net"
+      [
+        ("dropped", "net.dropped"); ("duped", "net.duped");
+        ("reordered", "net.reordered"); ("truncated", "net.truncated");
+        ("delayed", "net.delayed"); ("halfopen", "net.half_opened");
+      ]
+    ^ "  "
+    ^ counted "core"
+        [
+          ("requests", "core.requests"); ("executed", "core.executed");
+          ("dedup-hits", "core.dedup_hits"); ("stale", "core.stale");
+          ("overloads", "core.overloads");
+        ]
+  in
+  let gossip =
+    counted "gossip"
+      [
+        ("rounds", "gossip.rounds"); ("shipped", "gossip.shipped");
+        ("resyncs", "gossip.resyncs"); ("skipped-edges", "gossip.skipped_edges");
+      ]
   in
   let lines =
     [ summary ]
     @ (if owned then [ poll ] else [])
-    @ (if nets <> [||] then [ net () ] else [])
-    @ match group with Some g -> [ gossip g ] | None -> []
+    @ (if nets <> [||] then [ net ] else [])
+    @ if Option.is_some group then [ gossip ] else []
   in
   ( {
       lines;

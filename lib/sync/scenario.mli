@@ -78,7 +78,15 @@ type spec = {
 
 val store : ?dir:string -> seed:int -> size:int -> unit -> Wire.rstore
 (** The unsharded employees store every mode serves: [snapshot_every:8],
-    persisted to [dir] under [Fsync_every 8] when given. *)
+    persisted to [dir] under [Fsync_every 8] when given (a fresh log:
+    one already in [dir] is truncated). *)
+
+val resume :
+  dir:string -> seed:int -> size:int -> unit -> (Wire.rstore, Esm_core.Error.t) result
+(** {!store} persisted to [dir], resuming the durable log there
+    ({!Store.reopen}) when [dir] holds one, and starting a fresh log
+    when it does not.  [seed] and [size] must name the initial table
+    the log was started from. *)
 
 type report = {
   lines : string list;  (** summary lines, in print order *)

@@ -19,6 +19,9 @@ open Esm_core
 
 type side = [ `A | `B ]
 
+let poll_memo = Esm_incr.Stats.memo "session.poll"
+let resyncs = Esm_incr.Stats.counter "session.resyncs"
+
 let side_name = function `A -> "a" | `B -> "b"
 
 type ('a, 'b, 'da, 'db) t = {
@@ -75,11 +78,11 @@ let pull (t : ('a, 'b, 'da, 'db) t) :
   (* the overwhelmingly common poll: nothing committed since this
      session's base — answer [] without touching the oplog at all *)
   if t.base = Store.version t.store then begin
-    Esm_incr.Stats.hit "session.poll";
+    Esm_incr.Stats.hit poll_memo;
     []
   end
   else begin
-    Esm_incr.Stats.miss "session.poll";
+    Esm_incr.Stats.miss poll_memo;
     (* compaction may have dropped the suffix this session would have
        pulled: the store's current view already reflects those entries
        (that is what made them compactable), so the session resyncs by
@@ -88,7 +91,7 @@ let pull (t : ('a, 'b, 'da, 'db) t) :
       match Store.read_since t.store t.base with
       | `Entries es -> es
       | `Resync (v, _) ->
-          Esm_incr.Stats.miss "session.resync";
+          Esm_incr.Stats.bump resyncs;
           Store.entries_since t.store v
     in
     t.base <- Store.version t.store;

@@ -50,7 +50,7 @@ val pull : ('a, 'b, 'da, 'db) t -> ('a, 'b, 'da, 'db) Store.op Oplog.entry list
     counter.  When compaction dropped the suffix below this session's
     base, the pull skips to the retained horizon (the store view
     already reflects the dropped entries) and returns what follows,
-    counting a ["session.resync"] miss. *)
+    counted by the ["session.resyncs"] {!Esm_incr.Stats} counter. *)
 
 val submit_rebase :
   ('a, 'b, 'da, 'db) t ->

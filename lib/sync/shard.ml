@@ -24,8 +24,13 @@
     exchange), which anti-entropy absorbs by retrying next round. *)
 
 open Esm_core
+module Stats = Esm_incr.Stats
 
 let gossip_site = "shard.gossip"
+let rounds = Stats.counter "gossip.rounds"
+let shipped = Stats.counter "gossip.shipped"
+let resyncs = Stats.counter "gossip.resyncs"
+let skipped_edges = Stats.counter "gossip.skipped_edges"
 
 type ('a, 'b, 'da, 'db) t = {
   stores : ('a, 'b, 'da, 'db) Store.t array;
@@ -34,17 +39,6 @@ type ('a, 'b, 'da, 'db) t = {
   followers : ('a, 'b, 'da, 'db) Store.follower option array array;
       (** [followers.(i).(j)]: shard [i]'s replica of peer [j]; [None]
           on the diagonal *)
-  mutable rounds : int;
-  mutable shipped : int;
-  mutable resyncs : int;
-  mutable skipped_edges : int;
-}
-
-type stats = {
-  rounds : int;  (** gossip rounds run *)
-  shipped : int;  (** entries replayed into followers *)
-  resyncs : int;  (** followers restarted from a peer snapshot *)
-  skipped_edges : int;  (** directed edges dropped by injected faults *)
 }
 
 let make ~(stores : ('a, 'b, 'da, 'db) Store.t array)
@@ -58,8 +52,7 @@ let make ~(stores : ('a, 'b, 'da, 'db) Store.t array)
         Array.init n (fun j ->
             if i = j then None else Some (Store.follower stores.(j))))
   in
-  { stores; route; followers; rounds = 0; shipped = 0; resyncs = 0;
-    skipped_edges = 0 }
+  { stores; route; followers }
 
 let shards (t : ('a, 'b, 'da, 'db) t) : int = Array.length t.stores
 let store (t : ('a, 'b, 'da, 'db) t) (i : int) : ('a, 'b, 'da, 'db) Store.t =
@@ -67,14 +60,6 @@ let store (t : ('a, 'b, 'da, 'db) t) (i : int) : ('a, 'b, 'da, 'db) Store.t =
 
 let heads (t : ('a, 'b, 'da, 'db) t) : int array =
   Array.map Store.head_version t.stores
-
-let stats (t : ('a, 'b, 'da, 'db) t) : stats =
-  {
-    rounds = t.rounds;
-    shipped = t.shipped;
-    resyncs = t.resyncs;
-    skipped_edges = t.skipped_edges;
-  }
 
 (** Route one logical operation and commit each part at its owning
     shard, returning the per-shard outcomes in routing order.  Parts
@@ -113,13 +98,13 @@ let gossip_edge (t : ('a, 'b, 'da, 'db) t) (i : int) (j : int) : unit =
         match Store.read_since t.stores.(j) (Store.follower_version f) with
         | `Entries es ->
             List.iter (Store.follower_apply f) es;
-            t.shipped <- t.shipped + List.length es
+            Stats.add shipped (List.length es)
         | `Resync (v, a) ->
             Store.follower_resync f ~version:v a;
-            t.resyncs <- t.resyncs + 1;
+            Stats.bump resyncs;
             let es = Store.entries_since t.stores.(j) v in
             List.iter (Store.follower_apply f) es;
-            t.shipped <- t.shipped + List.length es
+            Stats.add shipped (List.length es)
       in
       try
         Chaos.point gossip_site;
@@ -128,7 +113,7 @@ let gossip_edge (t : ('a, 'b, 'da, 'db) t) (i : int) (j : int) : unit =
         (* a dropped exchange: the edge stays behind this round and
            anti-entropy retries it next round *)
         Chaos.note_fallback gossip_site;
-        t.skipped_edges <- t.skipped_edges + 1)
+        Stats.bump skipped_edges)
 
 let gossip_round (t : ('a, 'b, 'da, 'db) t) : unit =
   let n = Array.length t.stores in
@@ -137,7 +122,7 @@ let gossip_round (t : ('a, 'b, 'da, 'db) t) : unit =
       if i <> j then gossip_edge t i j
     done
   done;
-  t.rounds <- t.rounds + 1
+  Stats.bump rounds
 
 (** Every follower at its peer's head?  (The version check suffices:
     follower replay is deterministic, so equal versions mean equal

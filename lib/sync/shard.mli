@@ -19,21 +19,14 @@
 
     Chaos site: ["shard.gossip"] per directed edge per round — an
     injected fault drops that exchange, which anti-entropy absorbs by
-    retrying on later rounds. *)
+    retrying on later rounds.
+
+    Rounds, shipped entries, resyncs and dropped edges are counted in
+    the ["gossip.*"] {!Esm_incr.Stats} counters. *)
 
 open Esm_core
 
-val gossip_site : string
-(** ["shard.gossip"]. *)
-
 type ('a, 'b, 'da, 'db) t
-
-type stats = {
-  rounds : int;  (** gossip rounds run *)
-  shipped : int;  (** entries replayed into followers *)
-  resyncs : int;  (** followers restarted from a peer snapshot *)
-  skipped_edges : int;  (** directed edges dropped by injected faults *)
-}
 
 val make :
   stores:('a, 'b, 'da, 'db) Store.t array ->
@@ -50,7 +43,6 @@ val make :
 val shards : ('a, 'b, 'da, 'db) t -> int
 val store : ('a, 'b, 'da, 'db) t -> int -> ('a, 'b, 'da, 'db) Store.t
 val heads : ('a, 'b, 'da, 'db) t -> int array
-val stats : ('a, 'b, 'da, 'db) t -> stats
 
 val submit :
   ('a, 'b, 'da, 'db) t ->

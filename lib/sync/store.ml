@@ -82,9 +82,9 @@ let persist ?(fsync = Durable_log.Fsync_every 8) ~(dir : string)
    is at. *)
 type ('a, 'b, 'da, 'db, 's) replica = {
   bx : ('a, 'b, 's) Concrete.set_bx;
-  apply_da : ('a -> 'da list -> 'a) option;
+  apply_da : 'a -> 'da list -> 'a;
       (** materialise a burst of A-side deltas against the A view *)
-  apply_db : ('b -> 'db list -> 'b) option;
+  apply_db : 'b -> 'db list -> 'b;
   mutable state : 's;
   mutable version : int;  (** the version [state] is at *)
 }
@@ -119,7 +119,7 @@ let make ~name ~pedigree ~log ~durable r =
       view_cache_b = None;
     }
 
-let of_packed ?(name = "store") ?snapshot_every ?apply_da ?apply_db ?persist
+let of_packed ?(name = "store") ?snapshot_every ~apply_da ~apply_db ?persist
     (Concrete.Packed repr : ('a, 'b) Concrete.packed) :
     ('a, 'b, 'da, 'db) t =
   let durable =
@@ -133,7 +133,6 @@ let of_packed ?(name = "store") ?snapshot_every ?apply_da ?apply_db ?persist
     ~durable
     (initial_replica ~apply_da ~apply_db repr.Concrete.bx repr.Concrete.init)
 
-let name (Store s) = s.name
 let persisted (Store s) = Option.is_some s.durable
 
 let flush (Store s) =
@@ -147,6 +146,8 @@ let version (Store s) = s.r.version
 let head_version (Store s) = Oplog.head_version s.log
 let view_a_uncached (Store s) = s.r.bx.Concrete.get_a s.r.state
 let view_b_uncached (Store s) = s.r.bx.Concrete.get_b s.r.state
+
+let view_memo = Stats.memo "store.view"
 
 (* The memoized view-read path: a poll of an unchanged store returns
    the cached materialization in O(1).  The hit path trusts cached
@@ -164,14 +165,14 @@ let cached_view (type v) ~(version : int) ~(read : unit -> (int * v) option)
   | Some (at, v) when at = version -> (
       match Chaos.point Shash.site with
       | () ->
-          Stats.hit "store.view";
+          Stats.hit view_memo;
           v
       | exception exn when Error.degradable_exn exn ->
           Chaos.note_fallback Shash.site;
-          Stats.miss "store.view";
+          Stats.miss view_memo;
           Chaos.protected recompute)
   | _ ->
-      Stats.miss "store.view";
+      Stats.miss view_memo;
       recompute ()
 
 let view_a (Store s) =
@@ -202,18 +203,8 @@ let apply_op (r : ('a, 'b, 'da, 'db, 's) replica) (op : ('a, 'b, 'da, 'db) op)
   match op with
   | Set_a a -> bx.Concrete.set_a a st
   | Set_b b -> bx.Concrete.set_b b st
-  | Batch_a ds -> (
-      match r.apply_da with
-      | None ->
-          Error.raise_error Error.Other ~op:"commit"
-            "store has no A-side delta applier (pass ~apply_da)"
-      | Some f -> bx.Concrete.set_a (f (bx.Concrete.get_a st) ds) st)
-  | Batch_b ds -> (
-      match r.apply_db with
-      | None ->
-          Error.raise_error Error.Other ~op:"commit"
-            "store has no B-side delta applier (pass ~apply_db)"
-      | Some f -> bx.Concrete.set_b (f (bx.Concrete.get_b st) ds) st)
+  | Batch_a ds -> bx.Concrete.set_a (r.apply_da (bx.Concrete.get_a st) ds) st
+  | Batch_b ds -> bx.Concrete.set_b (r.apply_db (bx.Concrete.get_b st) ds) st
 
 (** The one replay step: move the replica to [version] by a bx
     transition run outside a commit — an oplog entry that committed
@@ -407,7 +398,7 @@ let follower_resync (Follower r : ('a, 'b, 'da, 'db) follower)
     not: the code and the initial state — the disk supplies the
     history.  Bytes read from disk that fail to decode or replay are a
     typed [Corrupt]. *)
-let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
+let reopen ?(name = "store") ?snapshot_every ~apply_da ~apply_db
     ?(fsync = Durable_log.Fsync_every 8)
     ~(codec : ('a, 'b, 'da, 'db) op_codec) ~(dir : string)
     (Concrete.Packed repr : ('a, 'b) Concrete.packed) :

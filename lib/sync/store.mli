@@ -50,15 +50,14 @@ type ('a, 'b, 'da, 'db) t
 val of_packed :
   ?name:string ->
   ?snapshot_every:int ->
-  ?apply_da:('a -> 'da list -> 'a) ->
-  ?apply_db:('b -> 'db list -> 'b) ->
+  apply_da:('a -> 'da list -> 'a) ->
+  apply_db:('b -> 'db list -> 'b) ->
   ?persist:('a, 'b, 'da, 'db) persist ->
   ('a, 'b) Concrete.packed ->
   ('a, 'b, 'da, 'db) t
 (** Serve a packed bx as a replicated store.  The pedigree is recorded
     as [Pedigree.Replicated] of the base pedigree.  [apply_da] /
-    [apply_db] materialise delta bursts for [Batch_a] / [Batch_b]
-    (omitting them makes batch commits fail with a typed error).
+    [apply_db] materialise delta bursts for [Batch_a] / [Batch_b].
     [persist] starts a {e fresh} durable log in its directory (any
     existing log there is truncated — resuming one is {!reopen}'s job)
     and every commit then follows the write-ahead discipline: entry
@@ -67,8 +66,8 @@ val of_packed :
 val reopen :
   ?name:string ->
   ?snapshot_every:int ->
-  ?apply_da:('a -> 'da list -> 'a) ->
-  ?apply_db:('b -> 'db list -> 'b) ->
+  apply_da:('a -> 'da list -> 'a) ->
+  apply_db:('b -> 'db list -> 'b) ->
   ?fsync:Durable_log.fsync_policy ->
   codec:('a, 'b, 'da, 'db) op_codec ->
   dir:string ->
@@ -90,8 +89,6 @@ val reopen :
     snapshot at a version [>= h], and its absence — or an undecodable
     snapshot payload — is [Corrupt] ("below retained horizon"), never a
     silent resurrection of a pre-compaction state. *)
-
-val name : ('a, 'b, 'da, 'db) t -> string
 
 val persisted : ('a, 'b, 'da, 'db) t -> bool
 (** Is this store backed by a durable log? *)

@@ -35,6 +35,7 @@
 
 open Esm_core
 open Esm_relational
+module Stats = Esm_incr.Stats
 
 let terr flag ~op fmt =
   Format.kasprintf (fun detail -> Error.v (Error.Transport flag) ~op detail) fmt
@@ -166,22 +167,19 @@ end
 module Core = struct
   type window = { mutable max_seen : int; mutable cached : string }
 
-  type stats = {
-    mutable requests : int;
-    mutable executed : int;
-    mutable dedup_hits : int;
-    mutable stale : int;
-    mutable overloads : int;
-    mutable reaped : int;
-  }
-
   type t = {
     wire : Wire.server;
     max_pending : int;
     dedup : (string, window) Hashtbl.t;
     last_seen : (string, float) Hashtbl.t;
-    stats : stats;
   }
+
+  let requests = Stats.counter "core.requests"
+  let executed = Stats.counter "core.executed"
+  let dedup_hits = Stats.counter "core.dedup_hits"
+  let stale = Stats.counter "core.stale"
+  let overloads = Stats.counter "core.overloads"
+  let reaped = Stats.counter "core.reaped"
 
   let create ?(max_pending = 64) (wire : Wire.server) : t =
     {
@@ -189,19 +187,9 @@ module Core = struct
       max_pending;
       dedup = Hashtbl.create 32;
       last_seen = Hashtbl.create 32;
-      stats =
-        {
-          requests = 0;
-          executed = 0;
-          dedup_hits = 0;
-          stale = 0;
-          overloads = 0;
-          reaped = 0;
-        };
     }
 
   let wire t = t.wire
-  let stats t = t.stats
 
   let touch t ~session ~now = Hashtbl.replace t.last_seen session now
 
@@ -215,7 +203,7 @@ module Core = struct
      path — becomes an [error] response; only genuine programming
      errors propagate. *)
   let execute t ~session (body : string) : string =
-    t.stats.executed <- t.stats.executed + 1;
+    Stats.bump executed;
     try Wire.handle_line t.wire ~session body
     with exn when Error.is_bx_exn exn -> (
       match Error.of_exn exn with
@@ -224,7 +212,7 @@ module Core = struct
 
   let handle_payload t ~(now : float) ~(pending : int) (payload : string) :
       string =
-    t.stats.requests <- t.stats.requests + 1;
+    Stats.bump requests;
     match Envelope.parse_req payload with
     | Error e ->
         (* no id to echo: answer on id 0, which no client awaits *)
@@ -235,17 +223,17 @@ module Core = struct
         let reply body = Envelope.render_resp { rid = id; body } in
         match Hashtbl.find_opt t.dedup session with
         | Some w when id < w.max_seen ->
-            t.stats.stale <- t.stats.stale + 1;
+            Stats.bump stale;
             reply
               (error_body (Error.Transport `Permanent)
                  "envelope: stale request id %d (high-water %d)" id w.max_seen)
         | Some w when id = w.max_seen ->
-            t.stats.dedup_hits <- t.stats.dedup_hits + 1;
+            Stats.bump dedup_hits;
             reply w.cached
         | _ when pending > t.max_pending ->
             (* shed unexecuted, dedup untouched: the retry (same id,
                quieter moment) executes normally *)
-            t.stats.overloads <- t.stats.overloads + 1;
+            Stats.bump overloads;
             reply
               (error_body Error.Overload
                  "connection has %d pending responses (max %d)" pending
@@ -272,7 +260,7 @@ module Core = struct
         Hashtbl.remove t.last_seen session;
         Hashtbl.remove t.dedup session;
         Wire.drop_session t.wire session;
-        t.stats.reaped <- t.stats.reaped + 1)
+        Stats.bump reaped)
       dead;
     List.sort compare dead
 end
@@ -889,14 +877,12 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Chaos_net = struct
-  type stats = {
-    mutable dropped : int;
-    mutable duped : int;
-    mutable reordered : int;
-    mutable truncated : int;
-    mutable delayed : int;
-    mutable half_opened : int;
-  }
+  let dropped = Stats.counter "net.dropped"
+  let duped = Stats.counter "net.duped"
+  let reordered = Stats.counter "net.reordered"
+  let truncated = Stats.counter "net.truncated"
+  let delayed = Stats.counter "net.delayed"
+  let half_opened = Stats.counter "net.half_opened"
 
   type flight = { due : int; chunk : string }
 
@@ -911,35 +897,15 @@ module Chaos_net = struct
 
   type slot = { mutable conn : cconn; inbox : string Queue.t }
 
-  type t = {
-    core : Core.t;
-    clk : Retry.clock;
-    stats : stats;
-    mutable slots : slot list;
-  }
+  type t = { core : Core.t; clk : Retry.clock; mutable slots : slot list }
 
   let create ?max_pending ?clock (wire : Wire.server) : t =
     let clk =
       match clock with Some c -> c | None -> Retry.manual_clock ()
     in
-    {
-      core = Core.create ?max_pending wire;
-      clk;
-      stats =
-        {
-          dropped = 0;
-          duped = 0;
-          reordered = 0;
-          truncated = 0;
-          delayed = 0;
-          half_opened = 0;
-        };
-      slots = [];
-    }
+    { core = Core.create ?max_pending wire; clk; slots = [] }
 
   let clock t = t.clk
-  let core t = t.core
-  let stats t = t.stats
 
   (* A fault site consulted for a yes/no decision: the injected
      Error.Fault is the "yes".  With no chaos instance installed this
@@ -980,18 +946,18 @@ module Chaos_net = struct
               ~pending:(List.length c.to_client) payload
           in
           if not c.half_open then begin
-            if decide "net.drop" then t.stats.dropped <- t.stats.dropped + 1
+            if decide "net.drop" then Stats.bump dropped
             else begin
               let due =
                 if decide "net.delay" then begin
-                  t.stats.delayed <- t.stats.delayed + 1;
+                  Stats.bump delayed;
                   c.round + 3
                 end
                 else c.round + 1
               in
               c.to_client <- c.to_client @ [ { due; chunk = resp } ];
               if decide "net.dup" then begin
-                t.stats.duped <- t.stats.duped + 1;
+                Stats.bump duped;
                 c.to_client <- c.to_client @ [ { due; chunk = resp } ]
               end
             end
@@ -1017,7 +983,7 @@ module Chaos_net = struct
         (if decide "net.truncate" then begin
            (* a prefix arrives, then the wire dies: the server reader is
               left mid-frame, the client finds out on its next receive *)
-           t.stats.truncated <- t.stats.truncated + 1;
+           Stats.bump truncated;
            let keep = max 1 (String.length frame / 2) in
            c.to_server <-
              c.to_server @ [ { due = c.round + 1; chunk = String.sub frame 0 keep } ];
@@ -1026,11 +992,11 @@ module Chaos_net = struct
          else if decide "net.halfopen" then begin
            (* the request side still works; every response from now on
               vanishes — the classic "did my commit apply?" *)
-           t.stats.half_opened <- t.stats.half_opened + 1;
+           Stats.bump half_opened;
            c.half_open <- true;
            c.to_server <- c.to_server @ [ { due = c.round + 1; chunk = frame } ]
          end
-         else if decide "net.drop" then t.stats.dropped <- t.stats.dropped + 1
+         else if decide "net.drop" then Stats.bump dropped
          else begin
            let due =
              if decide "net.reorder" then begin
@@ -1039,18 +1005,18 @@ module Chaos_net = struct
                   arrives after everything sent later — typically once
                   the session has moved to a higher id, where the
                   server's stale-duplicate refusal catches it *)
-               t.stats.reordered <- t.stats.reordered + 1;
+               Stats.bump reordered;
                c.round + 150
              end
              else if decide "net.delay" then begin
-               t.stats.delayed <- t.stats.delayed + 1;
+               Stats.bump delayed;
                c.round + 3
              end
              else c.round + 1
            in
            c.to_server <- c.to_server @ [ { due; chunk = frame } ];
            if decide "net.dup" then begin
-             t.stats.duped <- t.stats.duped + 1;
+             Stats.bump duped;
              c.to_server <- c.to_server @ [ { due; chunk = frame } ]
            end
          end);

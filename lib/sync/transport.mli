@@ -13,7 +13,8 @@
       after a half-open connection can be deduplicated server-side;
     - {!Core} — the transport-independent server brain: envelope
       dedup, per-connection load shedding ({!Esm_core.Error.Overload}),
-      dead-session reaping, stats;
+      dead-session reaping, each counted in a ["core.*"]
+      {!Esm_incr.Stats} counter;
     - {!Server} — a [select]-driven non-blocking Unix-domain/TCP
       listener multiplexing hundreds of connections over one
       {!Wire.server}, with heartbeat reaping and clean SIGTERM drain;
@@ -86,15 +87,6 @@ end
 module Core : sig
   type t
 
-  type stats = {
-    mutable requests : int;
-    mutable executed : int;
-    mutable dedup_hits : int;  (** replayed requests answered from cache *)
-    mutable stale : int;  (** old duplicate ids refused *)
-    mutable overloads : int;  (** requests shed unexecuted *)
-    mutable reaped : int;  (** sessions dropped by the idle reaper *)
-  }
-
   val create : ?max_pending:int -> Wire.server -> t
   (** [max_pending] (default 64) bounds a connection's pending-response
       queue: a request arriving beyond it is answered with a typed
@@ -115,7 +107,6 @@ module Core : sig
   (** Drop sessions (dedup window + {!Wire} binding) with no traffic
       since [now - idle_timeout]; returns the reaped names. *)
 
-  val stats : t -> stats
   val wire : t -> Wire.server
 end
 
@@ -256,7 +247,9 @@ module Chaos_net : sig
       ["net.drop"], ["net.dup"], ["net.reorder"], ["net.truncate"],
       ["net.delay"], ["net.halfopen"] — whose firing is decided by the
       installed {!Esm_core.Chaos} instance, so a fixed seed replays the
-      exact same loss pattern.  With no chaos installed the network is
+      exact same loss pattern, and every fault that fires is counted
+      in its ["net.*"] {!Esm_incr.Stats} counter ([net.dropped],
+      [net.duped], ...).  With no chaos installed the network is
       perfect.  Time is the shared manual clock: receive waits advance
       it, so timeouts and backoff are deterministic too. *)
 
@@ -268,24 +261,12 @@ module Chaos_net : sig
       one); pass the same clock to {!Remote_session.bind}. *)
 
   val clock : t -> Retry.clock
-  val core : t -> Core.t
 
   val endpoint : t -> Remote_session.endpoint
   (** A fresh client connection through the chaos net.  Reconnecting
       abandons any in-flight frames (they are lost with the old
       connection) and clears half-open state — exactly what a real
       reconnect does. *)
-
-  type stats = {
-    mutable dropped : int;
-    mutable duped : int;
-    mutable reordered : int;
-    mutable truncated : int;
-    mutable delayed : int;
-    mutable half_opened : int;
-  }
-
-  val stats : t -> stats
 
   val drain : t -> unit
   (** Deliver every in-flight frame with injection suspended

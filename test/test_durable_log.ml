@@ -313,8 +313,8 @@ let roundtrip_tests =
             | Error e -> Alcotest.failf "reopen: %s" (Error.message e)));
     test "an in-memory store is not persisted" `Quick (fun () ->
         let store : Wire.rstore =
-          Store.of_packed ~name:"mem" ~apply_db:Rel.Row_delta.apply_all
-            (packed ())
+          Store.of_packed ~name:"mem" ~apply_da:Rel.Row_delta.apply_all
+            ~apply_db:Rel.Row_delta.apply_all (packed ())
         in
         check Alcotest.bool "not persisted" false (Store.persisted store);
         Store.flush store;

@@ -11,7 +11,9 @@
       unmemoized reference on randomized edit scripts, including the
       net-zero (backdating) case and across crash/recover;
     - chaos at the ["incr.hash"] site: a fault-injected cache degrades
-      to a full recomputation — extra misses, never a stale value.
+      to a full recomputation — extra misses, never a stale value;
+    - {!Esm_incr.Stats}: a counter resolved once stays the registered
+      one across [reset], and [since] reads one run's growth.
 
     Like the chaos suite, the base seed comes from [CHAOS_SEED] when
     set, and each property case derives its own instance seed. *)
@@ -384,8 +386,31 @@ let chaos_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The counter registry                                                *)
+(* ------------------------------------------------------------------ *)
+
+let registry_tests =
+  [
+    test "a resolved counter survives reset; since reads a run's growth"
+      `Quick (fun () ->
+        let c = Incr.Stats.counter "test.registry" in
+        Incr.Stats.add c 3;
+        let count = Incr.Stats.since () in
+        Incr.Stats.bump c;
+        check Alcotest.int "growth since" 1 (count "test.registry");
+        check Alcotest.int "unregistered names grow by 0" 0
+          (count "test.never");
+        check Alcotest.int "total" 4 (Incr.Stats.get "test.registry");
+        Incr.Stats.reset ();
+        check Alcotest.int "zeroed" 0 (Incr.Stats.get "test.registry");
+        Incr.Stats.bump c;
+        check Alcotest.int "the cell is still the registered one" 1
+          (Incr.Stats.get "test.registry"));
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   table_hash_tests @ plan_cache_tests @ rlens_memo_tests
-  @ chaos_tests
+  @ chaos_tests @ registry_tests
   @ Helpers.q (table_hash_props @ store_oracle_props)

@@ -103,19 +103,21 @@ let oplog_tests =
 (* Store: commits, conflicts, transactionality                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A fresh employees row, id [100_000 + i]. *)
+let tmp_row i =
+  Rel.Row.of_list
+    [
+      Rel.Value.Int (100_000 + i);
+      Rel.Value.Str "tmp";
+      Rel.Value.Str "Sales";
+      Rel.Value.Int 50_000;
+      Rel.Value.Str "tmp@example.com";
+    ]
+
 (* An employees burst that adds a fresh row and removes it again: the
    live table never changes, so anything that grows is history. *)
 let net_zero_burst i =
-  let row =
-    Rel.Row.of_list
-      [
-        Rel.Value.Int (100_000 + i);
-        Rel.Value.Str "tmp";
-        Rel.Value.Str "Sales";
-        Rel.Value.Int 50_000;
-        Rel.Value.Str "tmp@example.com";
-      ]
-  in
+  let row = tmp_row i in
   Store.Batch_a [ Rel.Row_delta.Add row; Rel.Row_delta.Remove row ]
 
 let store_tests =
@@ -215,19 +217,6 @@ let store_tests =
           (let rows = Rel.Table.rows (Store.view_b store) in
            List.exists (Rel.Row.equal (view_row 9002 "omar")) rows
            && not (List.exists (Rel.Row.equal (view_row 9001 "nina")) rows)));
-    test "missing delta applier is a typed error, not a crash" `Quick
-      (fun () ->
-        let store : Wire.rstore =
-          Store.of_packed ~name:"no-applier"
-            (Concrete.packed_of_lens ~vwb:false
-               ~init:(Rel.Workload.employees ~seed:3 ~size:4)
-               ~eq_state:Rel.Table.equal eng_lens)
-        in
-        let res =
-          Store.commit ~session:"b1" store
-            (Store.Batch_b [ Rel.Row_delta.Add (view_row 9001 "nina") ])
-        in
-        check Alcotest.bool "Other kind" true (kind_of res = Some Error.Other));
     test "crashed store refuses commits until recover" `Quick (fun () ->
         let store = make_store ~snapshot_every:4 () in
         for i = 1 to 5 do
@@ -785,8 +774,45 @@ let absorbed_faults_test () =
       check Alcotest.(pair int int) "compacted on disk" (!missed, 8) (on_disk ());
       Store.close store)
 
+(* The daemon's store over a directory: a new directory starts a fresh
+   log, a restart on a compacted one resumes at its committed head. *)
+let resume_test () =
+  with_run_dir (fun d ->
+      let resume () =
+        match Scenario.resume ~dir:d ~seed:5 ~size:48 () with
+        | Ok st -> st
+        | Error e -> Alcotest.failf "resume: %s" (Error.message e)
+      in
+      let grow st i =
+        match
+          Store.commit ~session:"a1" st
+            (Store.Batch_a [ Rel.Row_delta.Add (tmp_row i) ])
+        with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "commit %d failed: %s" i (Error.message e)
+      in
+      let st = resume () in
+      check Alcotest.int "a new directory starts at 0" 0 (Store.version st);
+      for i = 1 to 100 do
+        grow st i
+      done;
+      check Alcotest.bool "the log compacted" true (Store.horizon st > 0);
+      let a = Store.view_a st in
+      Store.close st;
+      let st = resume () in
+      check Alcotest.int "the restart resumes at the head" 100 (Store.version st);
+      check Alcotest.bool "with the same A view" true
+        (Rel.Table.equal a (Store.view_a st));
+      grow st 101;
+      Store.close st;
+      let st = resume () in
+      check Alcotest.int "and keeps committing" 101 (Store.version st);
+      Store.close st)
+
 let kill_sweep_tests =
   [
+    test "esm_syncd's store resumes a persisted directory at its head" `Quick
+      resume_test;
     test "single-store kill sweep: every durable-write tick recovers" `Quick
       kill_sweep_test;
     test "a faulted snapshot or log rewrite is absorbed, the next snapshot \

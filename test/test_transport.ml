@@ -24,6 +24,7 @@ open Esm_core
 open Esm_sync
 open Esm_sync.Transport
 module Rel = Esm_relational
+module Stats = Esm_incr.Stats
 
 let check = Alcotest.check
 let test = Alcotest.test_case
@@ -432,15 +433,13 @@ let core_tests =
         let v0 = Store.version store in
         let first = send core ~id:2 ~session:"s1" body in
         check Alcotest.int "commit applied" (v0 + 1) (Store.version store);
-        let executed = (Core.stats core).Core.executed in
+        let count = Stats.since () in
         (* the retransmit: same id, byte-identical answer, no execution *)
         let again = send core ~id:2 ~session:"s1" body in
         check Alcotest.bool "cached answer is identical" true (first = again);
-        check Alcotest.int "no re-execution" executed
-          (Core.stats core).Core.executed;
+        check Alcotest.int "no re-execution" 0 (count "core.executed");
         check Alcotest.int "exactly one commit" (v0 + 1) (Store.version store);
-        check Alcotest.int "dedup hit counted" 1
-          (Core.stats core).Core.dedup_hits;
+        check Alcotest.int "dedup hit counted" 1 (count "core.dedup_hits");
         (* a THIRD copy still dedups — the window is not one-shot *)
         ignore (send core ~id:2 ~session:"s1" body);
         check Alcotest.int "still one commit" (v0 + 1) (Store.version store));
@@ -456,11 +455,12 @@ let core_tests =
         ignore (commit 901 2);
         ignore (commit 902 3);
         let v = Store.version store in
+        let count = Stats.since () in
         (* a floating duplicate of id 2 arrives after id 3 committed *)
         match commit 903 2 with
         | Wire.Resp_error (Error.Transport `Permanent, _) ->
             check Alcotest.int "nothing applied" v (Store.version store);
-            check Alcotest.int "stale counted" 1 (Core.stats core).Core.stale
+            check Alcotest.int "stale counted" 1 (count "core.stale")
         | r -> Alcotest.failf "expected stale refusal, got %s"
                  (Wire.render_response r));
     test "dedup windows are per session" `Quick (fun () ->
@@ -492,12 +492,12 @@ let core_tests =
           Wire.render_request (Wire.Batch [ Rel.Row_delta.Add (view_row 920 "nu") ])
         in
         let v = Store.version store in
+        let count = Stats.since () in
         (match send core ~pending:5 ~id:2 ~session:"s1" body with
         | Wire.Resp_error (Error.Overload, _) -> ()
         | r -> Alcotest.failf "expected overload, got %s" (Wire.render_response r));
         check Alcotest.int "shed, not executed" v (Store.version store);
-        check Alcotest.int "overload counted" 1
-          (Core.stats core).Core.overloads;
+        check Alcotest.int "overload counted" 1 (count "core.overloads");
         (* the retry, same id, quieter moment: executes normally *)
         (match send core ~pending:0 ~id:2 ~session:"s1" body with
         | Wire.Resp_ok _ -> ()
@@ -511,11 +511,12 @@ let core_tests =
         Core.touch core ~session:"fresh" ~now:100.0;
         hello core ~session:"idle" ~side:`B;
         Core.touch core ~session:"idle" ~now:10.0;
+        let count = Stats.since () in
         let reaped = Core.reap core ~now:100.0 ~idle_timeout:30.0 in
         check (Alcotest.list Alcotest.string) "idle reaped" [ "idle" ] reaped;
         check (Alcotest.list Alcotest.string) "binding dropped" [ "fresh" ]
           (Wire.session_names (Core.wire core));
-        check Alcotest.int "reap counted" 1 (Core.stats core).Core.reaped;
+        check Alcotest.int "reap counted" 1 (count "core.reaped");
         (* the reaped session's window is gone: its old id executes anew *)
         hello core ~session:"idle" ~side:`B;
         match
@@ -628,6 +629,7 @@ let chaos_net_tests =
           | Error e -> Alcotest.failf "bind failed: %s" (Error.message e)
         in
         let v0 = Store.version store in
+        let count = Stats.since () in
         (* only net.halfopen fires inside this window *)
         let result =
           Chaos.with_chaos chaos (fun () ->
@@ -650,7 +652,7 @@ let chaos_net_tests =
         | Error e -> Alcotest.failf "resolve failed: %s" (Error.message e));
         check Alcotest.int "still exactly once" (v0 + 1) (Store.version store);
         check Alcotest.bool "the duplicate hit the dedup cache" true
-          ((Core.stats (Chaos_net.core net)).Core.dedup_hits >= 1));
+          (count "core.dedup_hits" >= 1));
   ]
 
 (* The mini-soak: the scenario workload through the chaos net under a
@@ -809,7 +811,8 @@ let server_tests =
                 (* one write per frame, like a real client; never read.
                    Stop once neither the client's writes nor the
                    server's reads move for 200 consecutive steps. *)
-                let requests () = (Core.stats (Server.core srv)).Core.requests in
+                let count = Stats.since () in
+                let requests () = count "core.requests" in
                 let rec go i off idle =
                   if i < Array.length frames && idle < 200 then begin
                     let f = frames.(i) in
